@@ -7,8 +7,9 @@ Subpackage map:
   space-time-reversal (rotation) algebra.
 - :mod:`levyexc.models` Laplace exponents, criticality, and scale-function
   numerics for finite-mass jump measures.
-- :mod:`levyexc.simulate` exact event-driven simulation, first passage,
-  and excursion extraction above the infimum / below the supremum.
+- :mod:`levyexc.simulate` exact event-driven simulation through one
+  drift-then-jump kernel, and excursion extraction above the infimum /
+  below the supremum.
 - :mod:`levyexc.excursions` excursion functionals: pre/post-supremum
   split, the supremum-swap involution, and local times.
 - :mod:`levyexc.trees` binary splitting trees, population width, and the
@@ -27,7 +28,6 @@ __version__ = "0.1.0"
 
 from levyexc.excursions import (
     argmax_time,
-    depth_time,
     local_time_count,
     pointwise_reflection,
     post_sup,
@@ -43,7 +43,7 @@ from levyexc.models import (
     ScaleTable,
     model_from_config,
 )
-from levyexc.paths import EventPath, GridPath, concat
+from levyexc.paths import EventPath, concat
 from levyexc.rayknight import feller_moment_check, local_time_field
 from levyexc.simulate import (
     RngStream,
@@ -64,7 +64,6 @@ from levyexc.verify import (
 __all__ = [
     "__version__",
     "EventPath",
-    "GridPath",
     "concat",
     "ExponentialJumps",
     "DiracJumps",
@@ -79,7 +78,6 @@ __all__ = [
     "sample_killed_sup_excursions",
     "exit_probability_mc",
     "argmax_time",
-    "depth_time",
     "pre_sup",
     "post_sup",
     "supremum_swap",

@@ -20,14 +20,13 @@ Conventions
 - ``--config FILE`` supplies a JSON document; explicit flags override
   config keys; unknown config keys are rejected.
 - Every run is a pure function of (config, seed): outputs are
-  byte-identical across repetitions and thread counts.
+  byte-identical across repetitions.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -70,14 +69,14 @@ _SIMULATE_KINDS = ("path", "excursion", "sup-excursion", "tree")
 
 # Config keys each subcommand accepts (flags override them).
 _CONFIG_KEYS = {
-    "simulate": {"model", "seed", "threads", "kind", "n", "stop", "x0",
+    "simulate": {"model", "seed", "kind", "n", "stop", "x0",
                  "min_lifetime", "min_height", "depth"},
-    "tree": {"model", "seed", "threads", "n"},
+    "tree": {"model", "seed", "n"},
     "scale-fn": {"model", "h_w", "x_max"},
-    "verify": {"model", "seed", "threads", "suites", "n", "n_by_suite",
+    "verify": {"model", "seed", "suites", "n", "n_by_suite",
                "x_values", "depth", "fractions", "mass_factor",
                "with_calibration"},
-    "hist": {"model", "seed", "threads", "suite", "functional", "n", "bins",
+    "hist": {"model", "seed", "suite", "functional", "n", "bins",
              "x_values", "depth", "fractions", "mass_factor",
              "min_lifetime", "min_height"},
 }
@@ -114,15 +113,6 @@ def _resolve_model(flag_name, cfg: dict) -> LevyModel:
     if isinstance(spec, str):
         return named_model(spec)
     return model_from_config(spec)
-
-
-def _apply_threads(flag_value, cfg: dict):
-    threads = _pick(flag_value, cfg, "threads", None)
-    if threads is not None:
-        k = int(threads)
-        if k < 1:
-            raise ValueError("thread count must be >= 1")
-        os.environ["LEVYEXC_THREADS"] = str(k)
 
 
 def _emit(text: str, output):
@@ -186,7 +176,6 @@ def _simulate_lines(model, kind, n, stop_spec, x0, condition, depth,
 
 def _cmd_simulate(args) -> int:
     cfg = _load_config(args.config, "simulate") if args.config else {}
-    _apply_threads(args.threads, cfg)
     model = _resolve_model(args.model, cfg)
     kind = _pick(args.kind, cfg, "kind", "path")
     n = int(_pick(args.n, cfg, "n", 1))
@@ -208,7 +197,6 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_tree(args) -> int:
     cfg = _load_config(args.config, "tree") if args.config else {}
-    _apply_threads(args.threads, cfg)
     model = _resolve_model(args.model, cfg)
     n = int(_pick(args.n, cfg, "n", 1))
     seed = int(_pick(args.seed, cfg, "seed", DEFAULT_SEED))
@@ -251,7 +239,6 @@ def _suite_params(cfg: dict) -> dict:
 
 def _cmd_verify(args) -> int:
     cfg = _load_config(args.config, "verify") if args.config else {}
-    _apply_threads(args.threads, cfg)
     model = _resolve_model(args.model, cfg)
     names = args.suite or cfg.get("suites")
     n = _pick(args.n, cfg, "n", None)
@@ -302,7 +289,6 @@ def _cmd_verify(args) -> int:
 
 def _cmd_hist(args) -> int:
     cfg = _load_config(args.config, "hist") if args.config else {}
-    _apply_threads(args.threads, cfg)
     model = _resolve_model(args.model, cfg)
     suite = _pick(args.suite, cfg, "suite", "sup_swap")
     spec = _pick(args.functional, cfg, "functional", "lifetime")
@@ -349,15 +335,12 @@ def _cmd_hist(args) -> int:
 # -- parser --------------------------------------------------------------------
 
 
-def _add_common(sub, threads: bool = True):
+def _add_common(sub):
     sub.add_argument("--config", help="JSON config file; flags override it")
     sub.add_argument("--model", help="named model (e.g. bd, bd-control, "
                                      "dirac, brownian)")
     sub.add_argument("--seed", type=int, help="base seed (default 7)")
     sub.add_argument("--output", help="write data here instead of stdout")
-    if threads:
-        sub.add_argument("--threads", type=int,
-                         help="worker count (results never depend on it)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -390,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     scale = subs.add_parser("scale-fn",
                             help="CSV table x,W of the scale function")
-    _add_common(scale, threads=False)
+    _add_common(scale)
     scale.add_argument("--h-w", dest="h_w", type=float,
                        help="grid step (default 1e-3)")
     scale.add_argument("--x-max", dest="x_max", type=float,

@@ -26,13 +26,9 @@ them into occupation densities.
 
 from __future__ import annotations
 
-import io
-import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from levyexc.paths import EventPath, GridPath, concat
+from levyexc.paths import EventPath, concat
 
 __all__ = [
     "argmax_time",
@@ -41,12 +37,9 @@ __all__ = [
     "post_sup",
     "supremum_swap",
     "pointwise_reflection",
-    "depth_time",
-    "depth",
     "local_time_count",
     "LocalTimeProfile",
     "local_time_fv",
-    "local_time_grid",
 ]
 
 
@@ -99,33 +92,6 @@ def pointwise_reflection(path: EventPath) -> EventPath:
     return EventPath(peak - path.x0, -path.initial_jump, segs)
 
 
-# -- depth functionals for excursions below the supremum ----------------------
-
-
-def depth_time(path: EventPath) -> float:
-    """First time the left limit attains the path infimum.
-
-    For excursions below the supremum this is the instant just before
-    which the excursion is deepest.
-    """
-    if not path.segments:
-        return 0.0
-    pre_ends = [path._starts[i] + s * d
-                for i, (d, s, _) in enumerate(path.segments)]
-    inf_val = min(min(pre_ends), path.x0)
-    if path.x0 <= inf_val:
-        return 0.0
-    for i, v in enumerate(pre_ends):
-        if v == inf_val:
-            return path._times[i]
-    raise AssertionError("unreachable")
-
-
-def depth(path: EventPath) -> float:
-    """Depth below the starting level: ``-(left limit at depth_time)``."""
-    return -path.left_limit(depth_time(path))
-
-
 # -- crossing local time -------------------------------------------------------
 
 
@@ -167,20 +133,6 @@ class LocalTimeProfile:
         if len(self.counts) != max(len(self.breakpoints) - 1, 0):
             raise ValueError("need one count per breakpoint gap")
 
-    def count_between(self, low: float, high: float) -> int:
-        """Count on an interval lying strictly inside one gap."""
-        for i in range(len(self.counts)):
-            if self.breakpoints[i] <= low and high <= self.breakpoints[i + 1]:
-                return self.counts[i]
-        raise ValueError(f"[{low}, {high}] spans a breakpoint")
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("level_low,level_high,count\n")
-        for i, c in enumerate(self.counts):
-            buf.write(f"{self.breakpoints[i]!r},{self.breakpoints[i + 1]!r},{c}\n")
-        return buf.getvalue()
-
 
 def local_time_fv(path: EventPath) -> LocalTimeProfile:
     """Crossing-count profile of a piecewise-linear path.
@@ -200,27 +152,3 @@ def local_time_fv(path: EventPath) -> LocalTimeProfile:
     counts = tuple(local_time_count(path, 0.5 * (bps[i] + bps[i + 1]))
                    for i in range(len(bps) - 1))
     return LocalTimeProfile(bps, counts)
-
-
-def local_time_grid(path: GridPath, delta: float,
-                    low: float = None, high: float = None):
-    """Histogram occupation-density estimate for a grid path.
-
-    Each grid point deposits ``h / delta`` into its level bin; returns
-    ``(edges, density)`` with ``len(edges) = len(density) + 1``.  This
-    estimates the local time at the bin centres for small ``h << delta``.
-    """
-    if delta <= 0.0:
-        raise ValueError("bin width must be positive")
-    vals = np.asarray(path.values)
-    lo = float(np.min(vals)) if low is None else float(low)
-    hi = float(np.max(vals)) if high is None else float(high)
-    if hi <= lo:
-        hi = lo + delta
-    nbins = max(1, int(math.ceil((hi - lo) / delta - 1e-9)))
-    edges = lo + delta * np.arange(nbins + 1)
-    idx = np.floor((vals - lo) / delta).astype(int)
-    inside = (idx >= 0) & (idx < nbins)
-    density = np.bincount(idx[inside], minlength=nbins).astype(float)
-    density *= path.h / delta
-    return edges, density

@@ -1,14 +1,9 @@
 """Piecewise-linear cadlag path algebra.
 
-Two immutable path representations:
-
-* :class:`EventPath` — exact event-level paths: an initial value (possibly
-  reached by a jump at t = 0), followed by constant-slope segments, each
-  ending in a jump.  This is the native output of exact finite-variation
-  simulation and of every path transform in the toolkit.
-* :class:`GridPath` — values sampled on a uniform time grid of step ``h``,
-  for diffusion-type (Euler) simulation.  Transforms on grid paths are
-  O(h) approximations.
+One immutable path type, :class:`EventPath`: an initial value (possibly
+reached by a jump at t = 0), followed by constant-slope segments, each
+ending in a jump.  It is the output of exact finite-variation simulation and
+of every path transform in the toolkit.
 
 Conventions shared by all operations:
 
@@ -30,7 +25,6 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Union
 
 # Absolute tolerance for merging adjacent equal-slope segments and for
 # dropping numerically-zero junction jumps in concat().
@@ -245,10 +239,6 @@ class EventPath:
             out.append((dur, slope, jump_after))
         return EventPath(last_jump, last_jump, tuple(out))
 
-    def rotate_at(self, s: float) -> "EventPath":
-        """Rotation of the path killed at s: ``kill(s)`` then ``rotate``."""
-        return self.kill(s).rotate()
-
     # -- extrema ----------------------------------------------------------
 
     def first_argmax(self) -> tuple[float, float]:
@@ -263,17 +253,6 @@ class EventPath:
             if w > best_v:
                 best_t, best_v = self._times[i], w
         return best_t, best_v
-
-    def last_arginf(self) -> float:
-        """Largest t at which the left limit equals the path infimum."""
-        if not self.segments:
-            return 0.0
-        pre_ends = [self._starts[i] + s * d for i, (d, s, _) in enumerate(self.segments)]
-        inf_val = min(min(pre_ends), self.x0)
-        for i in range(len(self.segments) - 1, -1, -1):
-            if pre_ends[i] == inf_val:
-                return self._times[i]
-        return 0.0
 
     def _range_values(self) -> list[float]:
         """Closure of the range on [0-, lifetime].
@@ -325,77 +304,6 @@ class EventPath:
             tv += abs(slope) * dur + abs(jump)
         return tv
 
-    def to_grid(self, h: float) -> "GridPath":
-        """Sample the path on a uniform grid of step h."""
-        if h <= 0.0:
-            raise ValueError("grid step must be positive")
-        n = int(round(self.lifetime / h))
-        return GridPath(h, tuple(self.evaluate(k * h) for k in range(n + 1)))
-
-
-@dataclass(frozen=True)
-class GridPath:
-    """Path sampled at times k*h, k = 0..len(values)-1 (step function)."""
-
-    h: float
-    values: tuple[float, ...]
-
-    def __post_init__(self):
-        if self.h <= 0.0 or not math.isfinite(self.h):
-            raise ValueError("grid step must be positive and finite")
-        if len(self.values) == 0:
-            raise ValueError("grid path needs at least one value")
-        object.__setattr__(self, "h", float(self.h))
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-
-    @property
-    def lifetime(self) -> float:
-        return (len(self.values) - 1) * self.h
-
-    def _index(self, t: float) -> int:
-        if t < 0.0:
-            raise ValueError(f"time {t!r} < 0")
-        i = int(math.floor(t / self.h + 1e-9))
-        return min(i, len(self.values) - 1)
-
-    def evaluate(self, t: float) -> float:
-        return self.values[self._index(t)]
-
-    def kill(self, s: float) -> "GridPath":
-        if s >= self.lifetime:
-            return self
-        return GridPath(self.h, self.values[: self._index(s) + 1])
-
-    def shift(self, s: float) -> "GridPath":
-        if s < 0.0 or s > self.lifetime:
-            raise ValueError(f"shift time {s!r} outside [0, {self.lifetime!r}]")
-        return GridPath(self.h, self.values[self._index(s):])
-
-    def shift_centered(self, s: float) -> "GridPath":
-        p = self.shift(s)
-        v0 = p.values[0]
-        return GridPath(self.h, tuple(v - v0 for v in p.values))
-
-    def translate(self, dy: float) -> "GridPath":
-        return GridPath(self.h, tuple(v + dy for v in self.values))
-
-    def rotate(self) -> "GridPath":
-        """Grid analogue of the space-time reversal (O(h) accurate).
-
-        Uses the previous grid value as the left limit: q_j = v_K - v_{K-j-1}.
-        """
-        v = self.values
-        K = len(v) - 1
-        out = [v[K] - v[max(K - j - 1, 0)] for j in range(K + 1)]
-        return GridPath(self.h, tuple(out))
-
-    def first_argmax(self) -> tuple[float, float]:
-        m = max(self.values)
-        return self.values.index(m) * self.h, m
-
-
-Path = Union[EventPath, GridPath]
-
 
 def concat(p1: EventPath, p2: EventPath) -> EventPath:
     """Concatenation: p1 on [0, V1], then p2 resumed at its own values.
@@ -422,28 +330,24 @@ def concat(p1: EventPath, p2: EventPath) -> EventPath:
 # -- serialization ---------------------------------------------------------
 
 
-def path_to_dict(p: Path) -> dict:
-    if isinstance(p, EventPath):
-        return {
-            "x0": p.x0,
-            "initial_jump": p.initial_jump,
-            "segments": [list(seg) for seg in p.segments],
-        }
-    return {"h": p.h, "values": list(p.values)}
+def path_to_dict(p: EventPath) -> dict:
+    return {
+        "x0": p.x0,
+        "initial_jump": p.initial_jump,
+        "segments": [list(seg) for seg in p.segments],
+    }
 
 
-def path_from_dict(d: dict) -> Path:
-    if "segments" in d:
-        return EventPath(d["x0"], d.get("initial_jump", 0.0),
-                         tuple(tuple(s) for s in d["segments"]))
-    if "values" in d:
-        return GridPath(d["h"], tuple(d["values"]))
-    raise ValueError("not a path document: expected 'segments' or 'values'")
+def path_from_dict(d: dict) -> EventPath:
+    if "segments" not in d:
+        raise ValueError("not a path document: expected 'segments'")
+    return EventPath(d["x0"], d.get("initial_jump", 0.0),
+                     tuple(tuple(s) for s in d["segments"]))
 
 
-def path_to_json(p: Path) -> str:
+def path_to_json(p: EventPath) -> str:
     return json.dumps(path_to_dict(p), sort_keys=True)
 
 
-def path_from_json(s: str) -> Path:
+def path_from_json(s: str) -> EventPath:
     return path_from_dict(json.loads(s))

@@ -15,8 +15,12 @@ extraction helpers decompose a path into
 Both extractions are exact path surgery; concatenating the pieces (plus
 the on-record drift in the infimum case) reproduces the input path.
 
-Grid (Euler) simulation for models with a Brownian component lives in
-:func:`sample_path_grid`; it is the only approximate sampler here.
+Every exact draw (paths under each stop rule, conditioned excursions,
+killed excursions below the supremum, two-sided exit replications) runs
+through one private drift-then-jump kernel.  It draws an exponential wait,
+then one jump, and stops when the drift reaches a floor, a jump lands at or
+above a ceiling, or the clock reaches a horizon; samplers differ only in
+the levels they pass it and in whether they record the segments.
 
 Reproducibility: every sampler takes a ``numpy.random.Generator``.
 :class:`RngStream` builds hierarchies of independent, order-insensitive
@@ -26,7 +30,6 @@ named streams on top of ``numpy.random.SeedSequence``.
 from __future__ import annotations
 
 import math
-import os
 import zlib
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -34,18 +37,15 @@ from typing import Optional, Union
 import numpy as np
 
 from levyexc.models import LevyModel
-from levyexc.paths import EventPath, GridPath, Segment
+from levyexc.paths import EventPath, Segment
 
 __all__ = [
     "RngStream",
-    "worker_count",
     "Horizon",
     "FirstPassage",
     "ExcursionCount",
     "StopRule",
     "sample_path_fv",
-    "sample_path_grid",
-    "first_passage_time",
     "Excursion",
     "extract_excursions",
     "extract_sup_excursions",
@@ -98,20 +98,6 @@ class RngStream:
         return np.random.Generator(np.random.PCG64(ss))
 
 
-def worker_count() -> int:
-    """Worker count from the LEVYEXC_THREADS environment variable (>= 1).
-
-    Work is always partitioned into fixed blocks first, so results do not
-    depend on this value; it only controls how blocks are dispatched.
-    """
-    raw = os.environ.get("LEVYEXC_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"LEVYEXC_THREADS={raw!r} is not an integer") from exc
-    return max(1, n)
-
-
 # -- stop rules ---------------------------------------------------------------
 
 
@@ -146,6 +132,68 @@ StopRule = Union[Horizon, FirstPassage, ExcursionCount]
 # -- exact finite-variation sampling ------------------------------------------
 
 
+def _check_exact(model: LevyModel):
+    """Reject models the drift-then-jump kernel cannot sample exactly."""
+    if not model.is_finite_variation:
+        raise ValueError("exact sampling needs a finite-variation model")
+    if model.drift <= 0.0:
+        raise ValueError("sampling needs drift d > 0")
+
+
+def _drift_jump(model: LevyModel, v: float, floor: float, ceiling: float,
+                horizon: float, excursions: int, segs: Optional[list],
+                rng: np.random.Generator, max_events: int) -> bool:
+    """Run the exact dynamics from value ``v`` at time 0 until a stop.
+
+    Each step draws an exponential wait and then, unless the run stopped
+    during the wait, one jump.  The run stops at whichever comes first:
+    the drift reaches ``floor`` (always continuously), a jump lands at or
+    above ``ceiling``, or the clock reaches ``horizon``.  Returns True when
+    it stopped at the floor.
+
+    With ``excursions = K > 0`` the floor is instead the opening level of
+    the current excursion above the running infimum: it is armed by each
+    jump taken from the infimum, and the first K - 1 returns to it disarm
+    it without stopping, so the run stops when the K-th excursion closes.
+
+    Every segment up to the stop is appended to ``segs`` unless it is None;
+    a jump that hits the ceiling is not.  Raises ``RuntimeError`` when
+    ``max_events`` waits pass without a stop.
+    """
+    d = model.drift
+    b = model.jumps.mass
+    draw_jump = model.jumps.sample
+    mean_wait = 1.0 / b if b > 0.0 else 0.0
+    slope = -d
+    t = 0.0
+    for _ in range(max_events):
+        wait = rng.exponential(mean_wait) if b > 0.0 else math.inf
+        delta = (v - floor) / d
+        if delta <= wait and t + delta <= horizon:
+            if excursions > 1:
+                excursions -= 1
+                floor = -math.inf
+            else:
+                if segs is not None:
+                    segs.append((delta, slope, 0.0))
+                return True
+        if t + wait >= horizon:
+            if segs is not None:
+                segs.append((horizon - t, slope, 0.0))
+            return False
+        jump = float(draw_jump(rng))
+        v += slope * wait
+        if v + jump >= ceiling:
+            return False
+        if segs is not None:
+            segs.append((wait, slope, jump))
+        if excursions and floor == -math.inf:
+            floor = v
+        v += jump
+        t += wait
+    raise RuntimeError(f"no stop within {max_events} events")
+
+
 def sample_path_fv(model: LevyModel, x0: float, stop: StopRule,
                    rng: np.random.Generator,
                    max_events: int = DEFAULT_MAX_EVENTS) -> EventPath:
@@ -156,115 +204,26 @@ def sample_path_fv(model: LevyModel, x0: float, stop: StopRule,
     ``RuntimeError`` if ``max_events`` jumps occur before the stop rule
     fires.
     """
-    if not model.is_finite_variation:
-        raise ValueError("exact sampling needs a finite-variation model")
-    d = model.drift
-    if d <= 0.0:
-        raise ValueError("sampling needs drift d > 0")
-    b = model.jumps.mass
-    slope = -d
-
-    if isinstance(stop, Horizon) and stop.time < 0.0:
-        raise ValueError("horizon must be >= 0")
-    if isinstance(stop, FirstPassage) and stop.level > x0:
-        raise ValueError("first-passage level must be <= x0")
-    if isinstance(stop, ExcursionCount) and stop.count < 1:
-        raise ValueError("excursion count must be >= 1")
-
+    _check_exact(model)
+    floor, horizon, excursions = -math.inf, math.inf, 0
+    if isinstance(stop, Horizon):
+        if stop.time < 0.0:
+            raise ValueError("horizon must be >= 0")
+        horizon = stop.time
+    elif isinstance(stop, FirstPassage):
+        if stop.level > x0:
+            raise ValueError("first-passage level must be <= x0")
+        floor = stop.level
+    else:  # ExcursionCount
+        if stop.count < 1:
+            raise ValueError("excursion count must be >= 1")
+        if model.jumps.mass <= 0.0:
+            raise ValueError("excursions need jumps")
+        excursions = stop.count
     segs: list[Segment] = []
-    t, v = 0.0, float(x0)
-    # Excursion bookkeeping for the ExcursionCount rule.
-    in_exc, exc_level, closed = False, 0.0, 0
-
-    for _ in range(max_events):
-        wait = rng.exponential(1.0 / b) if b > 0.0 else math.inf
-
-        if isinstance(stop, Horizon):
-            if t + wait >= stop.time:
-                segs.append((stop.time - t, slope, 0.0))
-                return EventPath(x0, 0.0, tuple(segs))
-        elif isinstance(stop, FirstPassage):
-            delta = (v - stop.level) / d
-            if delta <= wait:
-                segs.append((delta, slope, 0.0))
-                return EventPath(x0, 0.0, tuple(segs))
-        else:  # ExcursionCount
-            if in_exc:
-                delta = (v - exc_level) / d
-                if delta <= wait:
-                    if closed + 1 == stop.count:
-                        segs.append((delta, slope, 0.0))
-                        return EventPath(x0, 0.0, tuple(segs))
-                    closed += 1
-                    in_exc = False
-
-        jump = float(model.jumps.sample(rng))
-        segs.append((wait, slope, jump))
-        v += slope * wait
-        if isinstance(stop, ExcursionCount) and not in_exc:
-            in_exc, exc_level = True, v
-        v += jump
-        t += wait
-
-    raise RuntimeError(f"stop rule did not fire within {max_events} events")
-
-
-def first_passage_time(model: LevyModel, x: float, horizon: float,
-                       rng: np.random.Generator) -> tuple:
-    """(hit, time) for the first passage to 0 from ``x``, capped at ``horizon``.
-
-    Lean loop that does not materialise the path; ``hit`` is False when the
-    passage has not happened by the horizon (supercritical paths escape with
-    probability 1 - exp(-eta * x)).
-    """
-    if x < 0.0:
-        raise ValueError("starting level must be >= 0")
-    d = model.drift
-    if d <= 0.0:
-        raise ValueError("first passage needs drift d > 0")
-    b = model.jumps.mass
-    t, v = 0.0, float(x)
-    while True:
-        wait = rng.exponential(1.0 / b) if b > 0.0 else math.inf
-        delta = v / d
-        if delta <= wait:
-            hit_time = t + delta
-            if hit_time <= horizon:
-                return True, hit_time
-            return False, horizon
-        if t + wait >= horizon:
-            return False, horizon
-        v += -d * wait + float(model.jumps.sample(rng))
-        t += wait
-
-
-def sample_path_grid(model: LevyModel, x0: float, horizon: float, h: float,
-                     rng: np.random.Generator) -> GridPath:
-    """Euler scheme on a uniform grid; supports a Brownian component.
-
-    Per step: drift ``-(alpha + small-jump mean) * h``, Gaussian increment
-    of variance ``2 * beta * h``, plus a Poisson(b*h) number of jumps drawn
-    from the normalised jump measure.
-    """
-    if horizon <= 0.0 or h <= 0.0:
-        raise ValueError("horizon and step must be positive")
-    n = int(round(horizon / h))
-    drift = model.alpha + model.jumps.small_mean()
-    steps = np.full(n, -drift * h)
-    if model.beta > 0.0:
-        steps += math.sqrt(2.0 * model.beta * h) * rng.standard_normal(n)
-    b = model.jumps.mass
-    if b > 0.0:
-        counts = rng.poisson(b * h, n)
-        total = int(counts.sum())
-        if total:
-            cells = np.repeat(np.arange(n), counts)
-            np.add.at(steps, cells, model.jumps.sample(rng, size=total))
-    values = np.empty(n + 1)
-    values[0] = x0
-    np.cumsum(steps, out=values[1:])
-    values[1:] += x0
-    return GridPath(h, tuple(values))
+    _drift_jump(model, float(x0), floor, math.inf, horizon, excursions, segs,
+                rng, max_events)
+    return EventPath(x0, 0.0, tuple(segs))
 
 
 # -- excursion extraction ------------------------------------------------------
@@ -489,41 +448,19 @@ def sample_killed_sup_excursions(model: LevyModel, n: int, depth: float,
     close: a draw is accepted at the passage and rejected at a closing
     jump, whichever comes first.
     """
-    if not model.is_finite_variation:
-        raise ValueError("exact sampling needs a finite-variation model")
-    d = model.drift
-    if d <= 0.0:
-        raise ValueError("sampling needs drift d > 0")
+    _check_exact(model)
     if depth <= 0.0:
         raise ValueError("depth must be positive")
-    b = model.jumps.mass
     if max_attempts is None:
         max_attempts = max(1000, 10000 * n)
     out = []
     for _ in range(max_attempts):
         if len(out) >= n:
             break
-        segs: list = []
-        v = 0.0
-        accepted = None
-        for _ in range(max_events):
-            wait = rng.exponential(1.0 / b) if b > 0.0 else math.inf
-            delta = (v + depth) / d
-            if delta <= wait:
-                segs.append((delta, -d, 0.0))
-                accepted = EventPath(0.0, 0.0, tuple(segs))
-                break
-            jump = float(model.jumps.sample(rng))
-            v_pre = v - d * wait
-            if v_pre + jump >= 0.0:
-                break  # the excursion closes before reaching the depth
-            segs.append((wait, -d, jump))
-            v = v_pre + jump
-        else:
-            raise RuntimeError(
-                f"no passage to -{depth} within {max_events} events")
-        if accepted is not None:
-            out.append(accepted)
+        segs: list[Segment] = []
+        if _drift_jump(model, 0.0, -depth, 0.0, math.inf, 0, segs, rng,
+                       max_events):
+            out.append(EventPath(0.0, 0.0, tuple(segs)))
     if len(out) < n:
         raise RuntimeError(
             f"only {len(out)}/{n} excursions reached depth {depth} in "
@@ -541,23 +478,11 @@ def exit_probability_mc(model: LevyModel, x: float, a: float, n: int,
     """
     if not 0.0 < x < a:
         raise ValueError("need 0 < x < a")
-    if not model.is_finite_variation:
-        raise ValueError("exact sampling needs a finite-variation model")
-    d = model.drift
-    if d <= 0.0:
-        raise ValueError("sampling needs drift d > 0")
+    _check_exact(model)
     if n < 1:
         raise ValueError("need at least one replication")
-    b = model.jumps.mass
     hits = 0
     for _ in range(n):
-        v = float(x)
-        while True:
-            wait = rng.exponential(1.0 / b) if b > 0.0 else math.inf
-            if v / d <= wait:
-                hits += 1
-                break
-            v += -d * wait + float(model.jumps.sample(rng))
-            if v >= a:
-                break
+        hits += _drift_jump(model, float(x), 0.0, a, math.inf, 0, None, rng,
+                            DEFAULT_MAX_EVENTS)
     return hits / n

@@ -28,14 +28,13 @@ Design notes
   conditioning event, which is what licenses testing the identity on
   conditioned draws.
 - Every block of samples comes from its own deterministic child stream, so
-  results are byte-reproducible and independent of the worker count.
+  results are byte-reproducible: a pure function of (config, seed).
 """
 
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from io import StringIO
@@ -62,7 +61,6 @@ from levyexc.simulate import (
     sample_excursions,
     sample_killed_sup_excursions,
     sample_path_fv,
-    worker_count,
 )
 from levyexc.trees import WidthProcess, sample_tree, width_process
 
@@ -105,8 +103,7 @@ DEFAULT_SEED = 7
 # 1000 repetitions has a ~0.007 standard error around the true ~0.049, so a
 # fixed central seed keeps the shipped check deterministic and stable.
 CALIBRATION_SEED = 2
-# Samples per block; one child stream per block makes the draw order
-# deterministic whatever the worker count.
+# Samples per block; one child stream per block fixes the draw order.
 BLOCK_SIZE = 512
 
 
@@ -368,26 +365,16 @@ class SuiteResult:
 def _blocked(total: int, stream: RngStream, block_fn: Callable) -> list:
     """Draw ``total`` objects in fixed-size blocks.
 
-    Each block gets its own child stream keyed by its index, so the result
-    is identical whatever the worker count; threads only help when the
-    sampler releases the GIL, but correctness never depends on them.
+    Each block gets its own child stream keyed by its index, which fixes
+    the draw order of every sample.
     """
     if total < 1:
         raise ValueError("need at least one sample")
     sizes = [BLOCK_SIZE] * (total // BLOCK_SIZE)
     if total % BLOCK_SIZE:
         sizes.append(total % BLOCK_SIZE)
-
-    def run(index: int, count: int) -> list:
-        return block_fn(count, stream.child("block", index).generator())
-
-    workers = worker_count()
-    if workers > 1 and len(sizes) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            blocks = list(pool.map(run, range(len(sizes)), sizes))
-    else:
-        blocks = [run(i, k) for i, k in enumerate(sizes)]
-    return [obj for block in blocks for obj in block]
+    return [obj for i, k in enumerate(sizes)
+            for obj in block_fn(k, stream.child("block", i).generator())]
 
 
 def _excursion_sampler(model: LevyModel, n: int, stream: RngStream) -> list:

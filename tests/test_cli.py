@@ -2,7 +2,7 @@
 
 Each test drives :func:`levyexc.cli.main` in process and checks the data
 on stdout, the exit code, and the determinism contract (same arguments,
-same bytes, independent of the thread count).
+same bytes).
 """
 
 from __future__ import annotations
@@ -76,9 +76,10 @@ class TestSimulate:
 
     def test_unknown_config_key_exits_2(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"bogus": 1}))
-        code, _ = run_cli(capsys, "simulate", "--config", str(cfg))
-        assert code == EXIT_USAGE
+        for doc in ({"bogus": 1}, {"threads": 2}):
+            cfg.write_text(json.dumps(doc))
+            code, _ = run_cli(capsys, "simulate", "--config", str(cfg))
+            assert code == EXIT_USAGE
 
     def test_missing_config_file_exits_2(self, capsys, tmp_path):
         code, _ = run_cli(capsys, "simulate", "--config",
@@ -210,15 +211,6 @@ class TestVerify:
         assert doc["calibration_rate"] is None
         assert all(r["verdict"] == "Pass" for r in doc["reports"])
 
-    def test_thread_count_does_not_change_bytes(self, capsys, monkeypatch):
-        monkeypatch.delenv("LEVYEXC_THREADS", raising=False)
-        _, out1 = run_cli(capsys, "verify", "--suite", "loctime_reversal",
-                          "--n", "300", "--seed", "3")
-        monkeypatch.setenv("LEVYEXC_THREADS", "1")
-        _, out4 = run_cli(capsys, "verify", "--suite", "loctime_reversal",
-                          "--n", "300", "--seed", "3", "--threads", "4")
-        assert out1 == out4
-
     def test_suite_params_via_config(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"suites": ["sup_excursion_rotation"],
@@ -269,6 +261,11 @@ class TestParser:
     def test_unknown_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as info:
             main(["frobnicate"])
+        assert info.value.code == EXIT_USAGE
+
+    def test_unknown_flag_exits_2(self):
+        with pytest.raises(SystemExit) as info:
+            main(["verify", "--threads", "2"])
         assert info.value.code == EXIT_USAGE
 
     def test_runtime_cap_exit_code_is_3(self, capsys):

@@ -15,11 +15,8 @@ import pytest
 from levyexc.excursions import (
     LocalTimeProfile,
     argmax_time,
-    depth,
-    depth_time,
     local_time_count,
     local_time_fv,
-    local_time_grid,
     peak_value,
     pointwise_reflection,
     post_sup,
@@ -152,46 +149,23 @@ class TestCrossingCounts:
         assert prof.breakpoints == (0.0, 0.5, 1.0, 2.5)
         assert prof.counts == (1, 2, 1)
         assert prof.kind == "crossing_fv"
-        assert prof.count_between(0.6, 0.7) == 2
-        with pytest.raises(ValueError):
-            prof.count_between(0.4, 0.6)
-
-    def test_profile_csv(self):
-        text = local_time_fv(EXC).to_csv()
-        lines = text.strip().split("\n")
-        assert lines[0] == "level_low,level_high,count"
-        assert len(lines) == 4
-        assert lines[2].endswith(",2")
-
-    def test_occupation_identity_against_grid(self):
-        # Occupation density = crossings / drift speed: the grid histogram
-        # at bin [0.7, 0.8) of the worked excursion must approach
-        # counts/d = 2.
-        g = EXC.to_grid(1e-3)
-        edges, dens = local_time_grid(g, 0.1)
-        k = int(round((0.7 - edges[0]) / 0.1))
-        assert dens[k] == pytest.approx(2.0, rel=0.05)
-
-    def test_grid_histogram_mass(self):
-        # Bins integrate to the the total time: sum(dens) * delta = lifetime.
-        g = EXC.to_grid(1e-3)
-        edges, dens = local_time_grid(g, 0.05)
-        assert float(np.sum(dens)) * 0.05 == pytest.approx(
-            g.lifetime, rel=0.01)
-
-
-class TestDepth:
-    def test_depth_of_sup_excursion(self):
-        # Two left-limit lows of equal depth 0.5 at t=0.5 and t=0.9; the
-        # first one wins.
-        e = EventPath(0.0, 0.0, ((0.5, -1.0, 0.4), (0.4, -1.0, 1.0)))
-        assert depth_time(e) == 0.5
-        assert depth(e) == 0.5
-
-    def test_depth_constant_path(self):
-        assert depth_time(EventPath(0.0, 0.0, ())) == 0.0
-        assert depth(EventPath(0.0, 0.0, ())) == 0.0
 
     def test_profile_validation(self):
         with pytest.raises(ValueError):
             LocalTimeProfile((0.0, 1.0), (1, 2))
+
+    def test_occupation_identity_exact(self):
+        # Occupation density = crossings / drift speed: the time the worked
+        # excursion spends in the band [0.7, 0.8), summed exactly over its
+        # segments and divided by the band width, is counts/d = 2/1.
+        low, high = 0.7, 0.8
+        crossings = local_time_count(EXC, 0.75)  # constant on the band
+        assert crossings == 2
+        occupation = 0.0
+        for i, (dur, slope, _) in enumerate(EXC.segments):
+            a = EXC._starts[i]
+            b = a + slope * dur
+            overlap = min(max(a, b), high) - max(min(a, b), low)
+            occupation += max(overlap, 0.0) / abs(slope)
+        assert occupation / (high - low) == pytest.approx(crossings / 1.0,
+                                                          rel=1e-12)

@@ -13,7 +13,6 @@ import pytest
 
 from levyexc.paths import (
     EventPath,
-    GridPath,
     concat,
     path_from_json,
     path_to_json,
@@ -200,9 +199,6 @@ class TestRotation:
         q = EventPath(1.5, 0.5, ()).rotate()
         assert q == EventPath(0.5, 0.5, ())
 
-    def test_rotate_at_kills_then_rotates(self):
-        assert WORKED.rotate_at(0.5) == WORKED.kill(0.5).rotate()
-
 
 class TestExtremaAndFunctionals:
     def test_first_argmax_worked(self):
@@ -236,10 +232,6 @@ class TestExtremaAndFunctionals:
         assert WORKED.max_jump() == 2.0
         # |1| + 0.5 + |2| + 2.5 = 6.
         assert WORKED.total_variation() == 6.0
-
-    def test_last_arginf(self):
-        # Left limits of WORKED hit their minimum 0 at t = 3 only.
-        assert WORKED.last_arginf() == 3.0
 
 
 class TestConcat:
@@ -277,51 +269,10 @@ class TestConcat:
         assert glued.evaluate(1.0) == 0.5
 
 
-class TestGridPath:
-    def test_evaluate_rounds_down(self):
-        g = GridPath(0.5, (0.0, 1.0, 3.0))
-        assert g.lifetime == 1.0
-        assert g.evaluate(0.0) == 0.0
-        assert g.evaluate(0.49) == 0.0
-        assert g.evaluate(0.5) == 1.0
-        assert g.evaluate(2.0) == 3.0
-
-    def test_rotate_uses_previous_value_as_left_limit(self):
-        # values (0,1,3,2): reversal gives v3 - v2, v3 - v1, v3 - v0, v3 - v0.
-        g = GridPath(1.0, (0.0, 1.0, 3.0, 2.0))
-        assert g.rotate().values == (-1.0, 1.0, 2.0, 2.0)
-
-    def test_kill_and_shift(self):
-        g = GridPath(1.0, (0.0, 1.0, 3.0, 2.0))
-        assert g.kill(1.0).values == (0.0, 1.0)
-        assert g.shift(2.0).values == (3.0, 2.0)
-        assert g.shift_centered(2.0).values == (0.0, -1.0)
-
-    def test_grid_rotate_approximates_event_rotate(self):
-        h = 1e-3
-        g = WORKED.to_grid(h)
-        rotated = g.rotate()
-        exact = WORKED.rotate()
-        # Skip the cell astride the interior jump (at rotated time 2.5) and
-        # the terminal cell, where the grid has no pre-start information.
-        errs = [abs(rotated.evaluate(k * h) - exact.evaluate(k * h))
-                for k in range(len(g.values))
-                if abs(k * h - 2.5) > 2 * h and k * h < 3.0 - 2 * h]
-        assert max(errs) <= 2 * h
-
-    def test_first_argmax(self):
-        g = GridPath(0.5, (0.0, 2.0, 1.0, 2.0))
-        assert g.first_argmax() == (0.5, 2.0)
-
-
 class TestSerialization:
     def test_event_path_roundtrip(self):
         s = path_to_json(WORKED)
         assert path_from_json(s) == WORKED
-
-    def test_grid_path_roundtrip(self):
-        g = GridPath(0.25, (0.0, 1.0, 0.5))
-        assert path_from_json(path_to_json(g)) == g
 
     def test_bad_document_rejected(self):
         with pytest.raises(ValueError):

@@ -25,11 +25,10 @@ from levyexc.simulate import (
     RngStream,
     extract_excursions,
     extract_sup_excursions,
-    first_passage_time,
+    exit_probability_mc,
     sample_excursions,
+    sample_killed_sup_excursions,
     sample_path_fv,
-    sample_path_grid,
-    worker_count,
 )
 
 # Unit drift, jump rate 1, jump sizes Exp(2): drifts to -inf at speed 1/2.
@@ -57,15 +56,6 @@ class TestRngStream:
         _ = root.child("y").generator().random()
         again = root.child("x").generator().random()
         assert first == again
-
-    def test_worker_count_env(self, monkeypatch):
-        monkeypatch.delenv("LEVYEXC_THREADS", raising=False)
-        assert worker_count() == 1
-        monkeypatch.setenv("LEVYEXC_THREADS", "4")
-        assert worker_count() == 4
-        monkeypatch.setenv("LEVYEXC_THREADS", "zero")
-        with pytest.raises(ValueError):
-            worker_count()
 
 
 class TestSamplePathFv:
@@ -121,6 +111,13 @@ class TestSamplePathFv:
         rng = RngStream(1).child("cap").generator()
         with pytest.raises(RuntimeError):
             sample_path_fv(MODEL, 0.0, Horizon(1e9), rng, max_events=100)
+        # Unreachable targets keep the draws coming until one of them runs
+        # into the cap.
+        with pytest.raises(RuntimeError, match="within 3 events"):
+            sample_excursions(MODEL, 1, rng, HeightAtLeast(1e6),
+                              max_events=3)
+        with pytest.raises(RuntimeError, match="within 3 events"):
+            sample_killed_sup_excursions(MODEL, 1, 1e6, rng, max_events=3)
 
     def test_brownian_model_rejected(self):
         m = LevyModel(alpha=-1.0, beta=1.0, jumps=NullJumps())
@@ -134,26 +131,21 @@ class TestFirstPassageTime:
         # E T = x / psi'(0) = 1 / 0.5 = 2 for the subcritical model.
         rng = RngStream(21).child("fpt").generator()
         n = 2000
-        times = [first_passage_time(MODEL, 1.0, 1e6, rng)[1] for _ in range(n)]
+        times = [sample_path_fv(MODEL, 1.0, FirstPassage(0.0), rng).lifetime
+                 for _ in range(n)]
         assert all(t > 0 for t in times)
         # Var T = x psi''(0) / psi'(0)^3 = 4: five-sigma band for the mean.
         assert np.mean(times) == pytest.approx(2.0, abs=5 * math.sqrt(4.0 / n))
 
     def test_hit_probability_supercritical(self):
         # P(hit from x) = exp(-eta x) with eta = 1 for the supercritical
-        # model; the horizon censors a negligible remainder.
+        # model.  Its scale function is W(x) = 3 e^x - 2, so the chance of
+        # hitting 0 before exceeding a = 10 is W(9) / W(10), which is
+        # exp(-1) to within 2e-5.
         rng = RngStream(22).child("hit").generator()
         n = 5000
-        hits = sum(first_passage_time(SUPER, 1.0, 50.0, rng)[0]
-                   for _ in range(n))
-        assert hits / n == pytest.approx(math.exp(-1.0), abs=0.03)
-
-    def test_matches_path_sampler(self):
-        t1 = first_passage_time(MODEL, 1.0, 1e6,
-                                RngStream(4).child("m").generator())[1]
-        p = sample_path_fv(MODEL, 1.0, FirstPassage(0.0),
-                           RngStream(4).child("m").generator())
-        assert t1 == pytest.approx(p.lifetime, rel=1e-12)
+        p_hit = exit_probability_mc(SUPER, 1.0, 10.0, n, rng)
+        assert p_hit == pytest.approx(math.exp(-1.0), abs=0.03)
 
 
 class TestExtractExcursions:
@@ -295,30 +287,3 @@ class TestSampleExcursions:
     def test_supercritical_rejected(self):
         with pytest.raises(ValueError):
             sample_excursions(SUPER, 1, RngStream(0).generator())
-
-
-class TestSamplePathGrid:
-    def test_brownian_moments(self):
-        m = LevyModel(alpha=-1.0, beta=1.0, jumps=NullJumps())
-        rng = RngStream(71).child("bm").generator()
-        n = 800
-        ends = np.array([sample_path_grid(m, 0.0, 1.0, 0.01, rng).values[-1]
-                         for _ in range(n)])
-        # E X_1 = -alpha = 1, Var X_1 = 2 beta = 2.
-        assert ends.mean() == pytest.approx(1.0, abs=5 * math.sqrt(2.0 / n))
-        assert ends.var() == pytest.approx(2.0, rel=0.2)
-
-    def test_jump_model_moments(self):
-        rng = RngStream(72).child("jumps").generator()
-        n = 800
-        ends = np.array([sample_path_grid(MODEL, 0.0, 2.0, 0.01, rng).values[-1]
-                         for _ in range(n)])
-        assert ends.mean() == pytest.approx(-1.0, abs=5 * math.sqrt(1.0 / n))
-
-    def test_deterministic(self):
-        a = sample_path_grid(MODEL, 0.0, 1.0, 0.1,
-                             RngStream(5).child("g").generator())
-        b = sample_path_grid(MODEL, 0.0, 1.0, 0.1,
-                             RngStream(5).child("g").generator())
-        assert a == b
-        assert len(a.values) == 11

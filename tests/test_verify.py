@@ -285,13 +285,6 @@ class TestDeterminism:
         b = run_suite("sup_swap", n=700, seed=9)
         assert reports_to_csv(a.reports) == reports_to_csv(b.reports)
 
-    def test_independent_of_thread_count(self, monkeypatch):
-        base = run_suite("pre_sup_rotation", n=700, seed=9)
-        monkeypatch.setenv("LEVYEXC_THREADS", "4")
-        threaded = run_suite("pre_sup_rotation", n=700, seed=9)
-        assert reports_to_csv(base.reports) == reports_to_csv(
-            threaded.reports)
-
     def test_seed_changes_reports(self):
         a = run_suite("loctime_reversal", n=300, seed=1)
         b = run_suite("loctime_reversal", n=300, seed=2)
