@@ -85,11 +85,6 @@ class ExponentialJumps:
         lam = np.asarray(lam, dtype=float)
         return self.b * lam / (lam + self.theta)
 
-    def levy_integral_prime(self, lam):
-        """integral r exp(-lam r) Pi(dr)."""
-        lam = np.asarray(lam, dtype=float)
-        return self.b * self.theta / (lam + self.theta) ** 2
-
     def tail(self, z):
         """PiBar(z) = Pi((z, inf)), vectorized in z >= 0."""
         z = np.asarray(z, dtype=float)
@@ -128,10 +123,6 @@ class DiracJumps:
     def levy_integral(self, lam):
         lam = np.asarray(lam, dtype=float)
         return self.b * (1.0 - np.exp(-lam * self.c))
-
-    def levy_integral_prime(self, lam):
-        lam = np.asarray(lam, dtype=float)
-        return self.b * self.c * np.exp(-lam * self.c)
 
     def tail(self, z):
         z = np.asarray(z, dtype=float)
@@ -174,9 +165,6 @@ class MixtureJumps:
     def levy_integral(self, lam):
         return sum(c.levy_integral(lam) for c in self.components)
 
-    def levy_integral_prime(self, lam):
-        return sum(c.levy_integral_prime(lam) for c in self.components)
-
     def tail(self, z):
         return sum(c.tail(z) for c in self.components)
 
@@ -215,9 +203,6 @@ class NullJumps:
         return 0.0
 
     def levy_integral(self, lam):
-        return np.zeros_like(np.asarray(lam, dtype=float))
-
-    def levy_integral_prime(self, lam):
         return np.zeros_like(np.asarray(lam, dtype=float))
 
     def tail(self, z):
@@ -292,13 +277,6 @@ class LevyModel:
                - self.jumps.levy_integral(lam) + lam * self.jumps.small_mean())
         return float(out) if out.ndim == 0 else out
 
-    def psi_prime(self, lam):
-        """Derivative psi'(lam)."""
-        lam = np.asarray(lam, dtype=float)
-        out = (self.alpha + 2.0 * self.beta * lam
-               - self.jumps.levy_integral_prime(lam) + self.jumps.small_mean())
-        return float(out) if out.ndim == 0 else out
-
     def psi_prime_at_zero(self) -> float:
         """psi'(0+) = -E[X_1]; the process is (sub)critical iff >= 0."""
         return self.alpha + self.jumps.small_mean() - self.jumps.mean()
@@ -310,29 +288,6 @@ class LevyModel:
         if slope == 0.0:
             return "critical"
         return "supercritical"
-
-    def eta(self, tol: float = 1e-10) -> float:
-        """Largest root of psi: sup{lam >= 0 : psi(lam) = 0}.
-
-        Zero for (sub)critical models; found by bracket doubling plus
-        bisection to absolute tolerance ``tol`` otherwise (psi is convex
-        with psi(0) = 0, so the positive root is simple).
-        """
-        if self.psi_prime_at_zero() >= 0.0:
-            return 0.0
-        hi = 1.0
-        while self.psi(hi) <= 0.0:
-            hi *= 2.0
-            if hi > 1e100:
-                raise ArithmeticError("failed to bracket the root of psi")
-        lo = 0.0
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            if self.psi(mid) <= 0.0:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
 
     def scale_table(self, x_max: float, h: float) -> "ScaleTable":
         """Tabulate the scale function W on [0, x_max] with step h.

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -117,18 +118,6 @@ class EventPath:
 
     # -- evaluation ------------------------------------------------------
 
-    def _locate(self, t: float) -> int:
-        """Index of the segment whose half-open span [t_{i-1}, t_i) holds t."""
-        times = self._times
-        lo, hi = 0, len(times) - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if t < times[mid]:
-                hi = mid
-            else:
-                lo = mid + 1
-        return lo
-
     def evaluate(self, t: float) -> float:
         """Cadlag value at time t; constant after the lifetime."""
         if t < 0.0:
@@ -137,7 +126,7 @@ class EventPath:
             return self.x0
         if t >= self.lifetime:
             return self.end_value()
-        i = self._locate(t)
+        i = bisect_right(self._times, t)
         t_start = self._times[i - 1] if i > 0 else 0.0
         dur, slope, jump = self.segments[i]
         if t == t_start:  # exactly on the previous boundary: post-jump start
@@ -152,7 +141,8 @@ class EventPath:
             return self.evaluate(t)
         if t > self.lifetime:
             return self.end_value()
-        i = self._locate(t) if t < self.lifetime else len(self.segments) - 1
+        i = (bisect_right(self._times, t) if t < self.lifetime
+             else len(self.segments) - 1)
         t_start = self._times[i - 1] if i > 0 else 0.0
         if t == t_start:  # boundary: limit comes from the previous segment
             i -= 1

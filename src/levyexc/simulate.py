@@ -396,9 +396,14 @@ class HeightAtLeast:
 Condition = Union[AnyExcursion, LifetimeAtLeast, HeightAtLeast]
 
 
+def _attempt_cap(n: int) -> int:
+    """Rejection attempts allowed for ``n`` accepted draws before the
+    conditioned samplers give up with RuntimeError."""
+    return max(1000, 10000 * n)
+
+
 def sample_excursions(model: LevyModel, n: int, rng: np.random.Generator,
                       condition: Condition = AnyExcursion(),
-                      max_attempts: Optional[int] = None,
                       max_events: int = DEFAULT_MAX_EVENTS) -> list:
     """``n`` independent excursions above the infimum, under a condition.
 
@@ -413,8 +418,7 @@ def sample_excursions(model: LevyModel, n: int, rng: np.random.Generator,
                          "close; condition the model first")
     if model.jumps.mass <= 0.0:
         raise ValueError("excursion sampling needs jumps")
-    if max_attempts is None:
-        max_attempts = max(1000, 10000 * n)
+    max_attempts = _attempt_cap(n)
     out = []
     for _ in range(max_attempts):
         if len(out) >= n:
@@ -434,7 +438,6 @@ def sample_excursions(model: LevyModel, n: int, rng: np.random.Generator,
 
 def sample_killed_sup_excursions(model: LevyModel, n: int, depth: float,
                                  rng: np.random.Generator,
-                                 max_attempts: Optional[int] = None,
                                  max_events: int = DEFAULT_MAX_EVENTS) -> list:
     """``n`` excursions below the running supremum, conditioned to reach
     ``-depth`` and killed at that (continuous) passage.
@@ -451,8 +454,7 @@ def sample_killed_sup_excursions(model: LevyModel, n: int, depth: float,
     _check_exact(model)
     if depth <= 0.0:
         raise ValueError("depth must be positive")
-    if max_attempts is None:
-        max_attempts = max(1000, 10000 * n)
+    max_attempts = _attempt_cap(n)
     out = []
     for _ in range(max_attempts):
         if len(out) >= n:

@@ -17,10 +17,13 @@ Design notes
 - Independent halves instead of paired comparison: the identities under test
   are equalities in law, and pairing F(T(e)) with F(e) on the same draw
   induces dependence that standard two-sample tests do not license.
-- Continuous functionals use the asymptotic Kolmogorov-Smirnov p-value at
-  the effective sample size; integer-valued functionals (jump counts,
-  crossing counts, widths) use a permutation p-value for the same statistic,
-  because the asymptotic null is wrong under heavy ties.
+- Suites name their functionals by catalog spec (``"area"``,
+  ``"value_at_fraction:0.3"``), and one table maps each name to its
+  evaluator and to whether it is integer-valued.  That flag decides the test:
+  integer-valued functionals (jump counts, crossing counts, widths) use a
+  permutation p-value for the Kolmogorov-Smirnov statistic, because the
+  asymptotic null is wrong under heavy ties; continuous ones use the
+  asymptotic p-value at the effective sample size.
 - Sampling is conditioned to a positive-finite-mass event (everything here
   uses the unconditioned excursion law, a first-passage law, or a
   reach-a-depth conditioning); when a transformation is applied, the suite
@@ -35,10 +38,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from io import StringIO
-from typing import Callable, Optional
+from operator import attrgetter, methodcaller
+from typing import Callable, NamedTuple, Optional
 
 import csv
 
@@ -211,30 +215,6 @@ def ks_null_calibration(n: int = 2000, repetitions: int = 1000,
 # -- functional catalog --------------------------------------------------------
 
 
-def _lifetime(path) -> float:
-    return path.lifetime
-
-
-def _height(path: EventPath) -> float:
-    return peak_value(path)
-
-
-def _argmax(path: EventPath) -> float:
-    return argmax_time(path)
-
-
-def _area(path: EventPath) -> float:
-    return path.area()
-
-
-def _jump_count(path: EventPath) -> float:
-    return float(path.jump_count())
-
-
-def _max_jump(path: EventPath) -> float:
-    return path.max_jump()
-
-
 def _value_at_fraction(q: float, path: EventPath) -> float:
     return path.evaluate(q * path.lifetime)
 
@@ -256,32 +236,56 @@ def _width_left_at_fraction(q: float, wid: WidthProcess) -> float:
     return float(wid.left_limit(q * wid.extinction_time))
 
 
-def _time_weighted_area(wid: WidthProcess) -> float:
-    return wid.time_weighted_integral()
+class _Functional(NamedTuple):
+    evaluate: Callable  # f(obj), or f(q, obj) when ``fraction`` is set
+    integer: bool = False  # integer-valued: compared by permutation KS
+    fraction: bool = False  # takes a ':q' parameter with 0 < q < 1
 
 
-def _time_weighted_area_reversed(wid: WidthProcess) -> float:
-    return wid.time_weighted_integral(reverse=True)
-
-
-_PLAIN_FUNCTIONALS = {
-    "lifetime": _lifetime,
-    "height": _height,
-    "argmax_time": _argmax,
-    "area": _area,
-    "jump_count": _jump_count,
-    "max_jump": _max_jump,
-    "time_weighted_area": _time_weighted_area,
-    "time_weighted_area_reversed": _time_weighted_area_reversed,
+# Every catalog functional, declared once.  ``integer`` decides the test kind
+# of every suite comparison and ``fraction`` the spec syntax.  The benchmark's
+# tracer swaps pre_sup, post_sup, supremum_swap, local_time_count and
+# EventPath.rotate for timing wrappers by attribute, so they are looked up at
+# call time (inside the evaluators and builders) and never held here.
+_FUNCTIONALS = {
+    "lifetime": _Functional(attrgetter("lifetime")),
+    "height": _Functional(peak_value),
+    "argmax_time": _Functional(argmax_time),
+    "area": _Functional(EventPath.area),
+    "jump_count": _Functional(EventPath.jump_count, integer=True),
+    "max_jump": _Functional(EventPath.max_jump),
+    "time_weighted_area": _Functional(WidthProcess.time_weighted_integral),
+    "time_weighted_area_reversed": _Functional(
+        partial(WidthProcess.time_weighted_integral, reverse=True)),
+    "value_at_fraction": _Functional(_value_at_fraction, fraction=True),
+    "pre_value_at_fraction": _Functional(_pre_value_at_fraction,
+                                         fraction=True),
+    "crossing_count_at_fraction": _Functional(_loctime_at_fraction,
+                                              integer=True, fraction=True),
+    "width_at_fraction": _Functional(_width_at_fraction, integer=True,
+                                     fraction=True),
+    "width_left_at_fraction": _Functional(_width_left_at_fraction,
+                                          integer=True, fraction=True),
 }
 
-_FRACTION_FUNCTIONALS = {
-    "value_at_fraction": _value_at_fraction,
-    "pre_value_at_fraction": _pre_value_at_fraction,
-    "crossing_count_at_fraction": _loctime_at_fraction,
-    "width_at_fraction": _width_at_fraction,
-    "width_left_at_fraction": _width_left_at_fraction,
-}
+
+def _lookup(spec: str) -> tuple:
+    """(callable, integer-valued) for a catalog spec."""
+    name, _, param = spec.partition(":")
+    entry = _FUNCTIONALS.get(name)
+    if entry is None:
+        raise ValueError(f"unknown functional {spec!r}; known: "
+                         f"{', '.join(sorted(_FUNCTIONALS))}")
+    if not entry.fraction:
+        if param:
+            raise ValueError(f"functional {name!r} takes no parameter")
+        return entry.evaluate, entry.integer
+    if not param:
+        raise ValueError(f"functional {name!r} needs a ':q' parameter")
+    q = float(param)
+    if not 0.0 < q < 1.0:
+        raise ValueError("fraction parameter must lie in (0, 1)")
+    return partial(entry.evaluate, q), entry.integer
 
 
 def functional_by_name(spec: str) -> Callable:
@@ -290,20 +294,7 @@ def functional_by_name(spec: str) -> Callable:
     Fraction-parameterised functionals require a ``:q`` suffix with
     0 < q < 1; plain ones reject any parameter.
     """
-    name, _, param = spec.partition(":")
-    if name in _PLAIN_FUNCTIONALS:
-        if param:
-            raise ValueError(f"functional {name!r} takes no parameter")
-        return _PLAIN_FUNCTIONALS[name]
-    if name in _FRACTION_FUNCTIONALS:
-        if not param:
-            raise ValueError(f"functional {name!r} needs a ':q' parameter")
-        q = float(param)
-        if not 0.0 < q < 1.0:
-            raise ValueError("fraction parameter must lie in (0, 1)")
-        return partial(_FRACTION_FUNCTIONALS[name], q)
-    known = sorted(_PLAIN_FUNCTIONALS) + sorted(_FRACTION_FUNCTIONALS)
-    raise ValueError(f"unknown functional {spec!r}; known: {', '.join(known)}")
+    return _lookup(spec)[0]
 
 
 # -- reports -------------------------------------------------------------------
@@ -443,9 +434,19 @@ class _TestDef:
     functional: str
     f_a: Callable
     f_b: Callable
-    kind: str  # "ks" | "perm"
+    permutation: bool = False  # permutation KS; else asymptotic KS
     required: bool = True
     expect_reject: bool = False
+
+
+def _test(spec: str, spec_b: Optional[str] = None,
+          label: Optional[str] = None, **flags) -> _TestDef:
+    """Catalog functional ``spec`` on half A against ``spec_b`` (default the
+    same) on half B, reported as ``label`` (default ``spec``).  The table
+    picks the test: permutation KS when either side is integer-valued."""
+    f_a, integer_a = _lookup(spec)
+    f_b, integer_b = _lookup(spec_b or spec)
+    return _TestDef(label or spec, f_a, f_b, integer_a or integer_b, **flags)
 
 
 @dataclass(frozen=True)
@@ -477,57 +478,30 @@ def _rotation_exact(original: EventPath, transformed: EventPath) -> bool:
             and sorted(original.jumps()) == sorted(transformed.jumps()))
 
 
-def _rotate(path: EventPath) -> EventPath:
-    return path.rotate()
+_ROTATION_TESTS = ("area", "value_at_fraction:0.5", "max_jump", "jump_count")
 
 
-def _ks_test(name: str, f: Callable) -> _TestDef:
-    return _TestDef(name, f, f, "ks")
-
-
-def _perm_test(name: str, f: Callable) -> _TestDef:
-    return _TestDef(name, f, f, "perm")
-
-
-def _rotation_tests() -> tuple:
-    return (
-        _ks_test("area", _area),
-        _ks_test("value_at_fraction:0.5", partial(_value_at_fraction, 0.5)),
-        _ks_test("max_jump", _max_jump),
-        _perm_test("jump_count", _jump_count),
-    )
-
-
-def _suffix(tests, suffix: str) -> tuple:
-    return tuple(
-        _TestDef(t.functional + suffix, t.f_a, t.f_b, t.kind, t.required,
-                 t.expect_reject) for t in tests)
+def _rotation_spec(label: str, sampler: Callable,
+                   condition: Optional[Callable] = None) -> _SuiteSpec:
+    return _SuiteSpec(label, sampler, sampler, methodcaller("rotate"),
+                      condition, tuple(map(_test, _ROTATION_TESTS)),
+                      _rotation_exact)
 
 
 def _build_sup_swap(model: LevyModel, params: dict) -> list:
-    tests = (
-        _ks_test("area", _area),
-        _ks_test("value_at_fraction:0.3", partial(_value_at_fraction, 0.3)),
-        _ks_test("value_at_fraction:0.7", partial(_value_at_fraction, 0.7)),
-        _ks_test("max_jump", _max_jump),
-        _perm_test("jump_count", _jump_count),
-        _perm_test("crossing_count_at_fraction:0.25",
-                   partial(_loctime_at_fraction, 0.25)),
-    )
+    tests = tuple(map(_test, (
+        "area", "value_at_fraction:0.3", "value_at_fraction:0.7", "max_jump",
+        "jump_count", "crossing_count_at_fraction:0.25")))
     return [_SuiteSpec("sup_swap", _excursion_sampler, _excursion_sampler,
                        supremum_swap, None, tests, _swap_exact)]
 
 
 def _build_pre_sup(model: LevyModel, params: dict) -> list:
-    return [_SuiteSpec("pre_sup_rotation", _pre_sup_sampler,
-                       _pre_sup_sampler, _rotate, None, _rotation_tests(),
-                       _rotation_exact)]
+    return [_rotation_spec("pre_sup_rotation", _pre_sup_sampler)]
 
 
 def _build_post_sup(model: LevyModel, params: dict) -> list:
-    return [_SuiteSpec("post_sup_rotation", _post_sup_sampler,
-                       _post_sup_sampler, _rotate, None, _rotation_tests(),
-                       _rotation_exact)]
+    return [_rotation_spec("post_sup_rotation", _post_sup_sampler)]
 
 
 def _build_killed_passage(model: LevyModel, params: dict) -> list:
@@ -536,55 +510,47 @@ def _build_killed_passage(model: LevyModel, params: dict) -> list:
     for x in xs:
         if x <= 0.0:
             raise ValueError("passage levels must be positive")
-        sampler = partial(_killed_shifted_sampler, float(x))
-        specs.append(_SuiteSpec(
-            f"killed_passage_rotation[x={x:g}]", sampler, sampler, _rotate,
-            None, _rotation_tests(), _rotation_exact))
+        specs.append(_rotation_spec(
+            f"killed_passage_rotation[x={x:g}]",
+            partial(_killed_shifted_sampler, float(x))))
     return specs
 
 
 def _build_sup_excursion(model: LevyModel, params: dict) -> list:
     depth = float(params.get("depth", 0.5))
-    sampler = partial(_killed_sup_sampler, depth)
     # The sampler conditions on the excursion reaching -depth; rotation must
     # not move paths in or out of that event.  The killed path ends at
     # -depth up to rounding, hence the tolerance.
     condition = lambda p: p.inf() <= -depth + 1e-9  # noqa: E731
-    return [_SuiteSpec("sup_excursion_rotation", sampler, sampler, _rotate,
-                       condition, _rotation_tests(), _rotation_exact)]
+    return [_rotation_spec("sup_excursion_rotation",
+                           partial(_killed_sup_sampler, depth), condition)]
+
+
+# The reversal suites pair the functional at fraction q on half A with its
+# mirror at 1 - q on half B.  Specs carry repr(q), which parses back to q
+# exactly; the labels keep the shorter :g form.
 
 
 def _build_loctime_reversal(model: LevyModel, params: dict) -> list:
-    fractions = params.get("fractions", (0.2, 0.35))
-    tests = []
-    for q in fractions:
-        if not 0.0 < q < 1.0:
-            raise ValueError("fractions must lie in (0, 1)")
-        tests.append(_TestDef(
-            f"crossing_count_at_fraction:{q:g}_vs_{1.0 - q:g}",
-            partial(_loctime_at_fraction, q),
-            partial(_loctime_at_fraction, 1.0 - q),
-            "perm"))
+    tests = tuple(
+        _test(f"crossing_count_at_fraction:{q!r}",
+              f"crossing_count_at_fraction:{1.0 - q!r}",
+              f"crossing_count_at_fraction:{q:g}_vs_{1.0 - q:g}")
+        for q in map(float, params.get("fractions", (0.2, 0.35))))
     return [_SuiteSpec("loctime_reversal", _excursion_sampler,
-                       _excursion_sampler, None, None, tuple(tests), None)]
+                       _excursion_sampler, None, None, tests, None)]
 
 
 def _build_width_reversal(model: LevyModel, params: dict) -> list:
-    fractions = params.get("fractions", (0.2, 0.35))
-    tests = []
-    for q in fractions:
-        if not 0.0 < q < 1.0:
-            raise ValueError("fractions must lie in (0, 1)")
-        tests.append(_TestDef(
-            f"width_at_fraction:{q:g}_vs_left_{1.0 - q:g}",
-            partial(_width_at_fraction, q),
-            partial(_width_left_at_fraction, 1.0 - q),
-            "perm"))
-    tests.append(_TestDef("time_weighted_area_vs_reversed",
-                          _time_weighted_area,
-                          _time_weighted_area_reversed, "ks"))
+    tests = tuple(
+        _test(f"width_at_fraction:{q!r}",
+              f"width_left_at_fraction:{1.0 - q!r}",
+              f"width_at_fraction:{q:g}_vs_left_{1.0 - q:g}")
+        for q in map(float, params.get("fractions", (0.2, 0.35))))
+    tests += (_test("time_weighted_area", "time_weighted_area_reversed",
+                    "time_weighted_area_vs_reversed"),)
     return [_SuiteSpec("width_reversal", _width_sampler, _width_sampler,
-                       None, None, tuple(tests), None)]
+                       None, None, tests, None)]
 
 
 def _scaled_mass_jumps(jumps, factor: float):
@@ -623,19 +589,17 @@ def _build_negative_control(model: LevyModel, params: dict) -> list:
     # asymptotic KS like every continuous functional.
     loglr = partial(_mass_loglr, -math.log(factor),
                     (1.0 - factor) * model.jumps.mass)
-    gate = _TestDef("loglr_mass_mismatch", loglr, loglr, "ks",
-                    required=True, expect_reject=True)
+    gate = _TestDef("loglr_mass_mismatch", loglr, loglr, expect_reject=True)
     # Reported, not gating: lifetime alone is the weakest summary of the
     # pair (KS distance ~0.028 against ~0.056 for S at the defaults).
-    lifetime = _TestDef("lifetime_mass_mismatch", _lifetime, _lifetime,
-                        "ks", required=False, expect_reject=True)
+    lifetime = _test("lifetime", label="lifetime_mass_mismatch",
+                     required=False, expect_reject=True)
     # Informational: the pre- and post-supremum parts of the same excursion
     # have no reason to share an area law; the comparison documents the
     # power of the harness and never gates the suite.
     info = _TestDef("abs_area_pre_vs_post",
                     lambda e: abs(pre_sup(e).area()),
-                    lambda e: abs(post_sup(e).area()),
-                    "ks", required=False)
+                    lambda e: abs(post_sup(e).area()), required=False)
     spec_mismatch = _SuiteSpec(
         "negative_control[mass_mismatch]", _excursion_sampler,
         lambda m, n, s: _excursion_sampler(altered, n, s),
@@ -699,7 +663,7 @@ def _run_spec(spec: _SuiteSpec, model: LevyModel, n: int, stream: RngStream,
     for test in spec.tests:
         x_a = np.asarray([test.f_a(o) for o in transformed], dtype=float)
         x_b = np.asarray([test.f_b(o) for o in objs_b], dtype=float)
-        if test.kind == "perm":
+        if test.permutation:
             gen = stream.child("perm", test.functional).generator()
             stat, p = permutation_ks(x_a, x_b, gen)
         else:
@@ -720,8 +684,8 @@ def _run_spec(spec: _SuiteSpec, model: LevyModel, n: int, stream: RngStream,
 
 def _null_spec(spec: _SuiteSpec) -> _SuiteSpec:
     """The identity version of a spec: no transform, half B mirrors half A."""
-    tests = tuple(_TestDef(t.functional, t.f_a, t.f_a, t.kind, t.required,
-                           False) for t in spec.tests)
+    tests = tuple(replace(t, f_b=t.f_a, expect_reject=False)
+                  for t in spec.tests)
     return _SuiteSpec(spec.label + "[null]", spec.sampler_a, spec.sampler_a,
                       None, None, tests, None)
 

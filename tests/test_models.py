@@ -110,9 +110,7 @@ class TestLaplaceExponent:
         assert out[2] == pytest.approx(1.5, rel=1e-14)
 
     def test_psi_prime(self):
-        # psi'(lam) = 1 - 2/(lam+2)^2: 0.5 at 0, 0.875 at 2.
-        assert EXP_MODEL.psi_prime(0.0) == pytest.approx(0.5, rel=1e-14)
-        assert EXP_MODEL.psi_prime(2.0) == pytest.approx(0.875, rel=1e-14)
+        # psi'(lam) = 1 - 2/(lam+2)^2: 0.5 at 0.
         assert EXP_MODEL.psi_prime_at_zero() == pytest.approx(0.5, rel=1e-14)
 
     def test_from_drift_recovers_drift(self):
@@ -128,7 +126,6 @@ class TestLaplaceExponent:
         m = LevyModel(alpha=-1.0, beta=1.0, jumps=NullJumps())
         # psi(lam) = -lam + lam^2.
         assert m.psi(3.0) == pytest.approx(6.0, rel=1e-14)
-        assert m.psi_prime(0.0) == pytest.approx(-1.0, rel=1e-14)
 
 
 class TestCriticalityAndEta:
@@ -139,22 +136,6 @@ class TestCriticalityAndEta:
         assert sub.criticality() == "subcritical"
         assert crit.criticality() == "critical"
         assert sup.criticality() == "supercritical"
-
-    def test_eta_zero_when_not_supercritical(self):
-        assert EXP_MODEL.eta() == 0.0
-        crit = LevyModel.from_drift(1.0, ExponentialJumps(2.0, 2.0))
-        assert crit.eta() == 0.0
-
-    def test_eta_exponential_supercritical(self):
-        # psi(lam) = lam(lam - 1)/(lam + 2): positive root exactly 1.
-        m = LevyModel.from_drift(1.0, ExponentialJumps(3.0, 2.0))
-        assert m.eta() == pytest.approx(1.0, abs=1e-9)
-        assert m.psi(m.eta()) == pytest.approx(0.0, abs=1e-9)
-
-    def test_eta_brownian(self):
-        # psi(lam) = lam^2 - lam: positive root exactly 1.
-        m = LevyModel(alpha=-1.0, beta=1.0, jumps=NullJumps())
-        assert m.eta() == pytest.approx(1.0, abs=1e-9)
 
 
 class TestScaleFunction:

@@ -1,11 +1,17 @@
-"""Package-level checks: every exported name exists."""
+"""Package-level checks: every exported name exists, and the README's
+Python quick start runs as written."""
 
 from __future__ import annotations
 
 import importlib
+import math
 import pkgutil
+import re
+from pathlib import Path
 
 import levyexc
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def test_every_exported_name_resolves():
@@ -16,3 +22,16 @@ def test_every_exported_name_resolves():
                for name in getattr(m, "__all__", ())
                if not hasattr(m, name)]
     assert missing == []
+
+
+def test_readme_quick_start_runs():
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+    assert len(blocks) == 2
+    namespace: dict = {}
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), namespace)
+    assert namespace["result"].passed
+    # W(x) = 2 - exp(-x) for the quick-start model, so the exit probability
+    # W(1)/W(2) is (2 - e^-1)/(2 - e^-2) = 0.87529.
+    exact = (2.0 - math.exp(-1.0)) / (2.0 - math.exp(-2.0))
+    assert abs(namespace["table"].exit_probability(1.0, 2.0) - exact) <= 5e-6

@@ -16,6 +16,7 @@ import scipy.stats
 from levyexc.paths import EventPath
 from levyexc.simulate import RngStream
 from levyexc.verify import (
+    _FUNCTIONALS,
     DEFAULT_SEED,
     DEFAULT_SUITE_SIZES,
     PER_FUNCTIONAL_ALPHA,
@@ -164,6 +165,32 @@ class TestFunctionalByName:
         with pytest.raises(ValueError, match="unknown functional"):
             functional_by_name("entropy")
 
+    def test_integer_flagged_names_take_whole_values(self):
+        # The flag sends a functional to the permutation KS; check it on
+        # sampled excursions and width processes, whichever it applies to.
+        model = default_model()
+        stream = RngStream(DEFAULT_SEED).child("integer_flag")
+        samples = (suite_sampler("sup_swap")(model, 100, stream.child("e")),
+                   suite_sampler("width_reversal")(model, 100,
+                                                   stream.child("w")))
+        flagged = [name for name, entry in _FUNCTIONALS.items()
+                   if entry.integer]
+        assert set(flagged) == {"jump_count", "crossing_count_at_fraction",
+                                "width_at_fraction", "width_left_at_fraction"}
+        for name in flagged:
+            f = functional_by_name(
+                f"{name}:0.3" if _FUNCTIONALS[name].fraction else name)
+            evaluated = 0
+            for objs in samples:
+                try:
+                    values = [float(f(o)) for o in objs]
+                except AttributeError:
+                    continue
+                evaluated += 1
+                assert all(v.is_integer() for v in values), name
+                assert max(values) > 0.0, name
+            assert evaluated == 1, name
+
 
 EXPECTED_REPORT_COUNTS = {
     "sup_swap": 6,
@@ -176,6 +203,46 @@ EXPECTED_REPORT_COUNTS = {
     "negative_control": 3,
 }
 
+_ROTATION_FUNCTIONALS = ("area", "value_at_fraction:0.5", "max_jump",
+                         "jump_count")
+
+# (suite label, functional) of every report, in order; frozen so that a
+# change to how suites declare their tests cannot rename or reorder rows.
+EXPECTED_REPORT_LABELS = {
+    "sup_swap": [
+        ("sup_swap", "area"),
+        ("sup_swap", "value_at_fraction:0.3"),
+        ("sup_swap", "value_at_fraction:0.7"),
+        ("sup_swap", "max_jump"),
+        ("sup_swap", "jump_count"),
+        ("sup_swap", "crossing_count_at_fraction:0.25"),
+    ],
+    "pre_sup_rotation": [("pre_sup_rotation", f)
+                         for f in _ROTATION_FUNCTIONALS],
+    "post_sup_rotation": [("post_sup_rotation", f)
+                          for f in _ROTATION_FUNCTIONALS],
+    "killed_passage_rotation": (
+        [("killed_passage_rotation[x=0.5]", f) for f in _ROTATION_FUNCTIONALS]
+        + [("killed_passage_rotation[x=2]", f)
+           for f in _ROTATION_FUNCTIONALS]),
+    "sup_excursion_rotation": [("sup_excursion_rotation", f)
+                               for f in _ROTATION_FUNCTIONALS],
+    "loctime_reversal": [
+        ("loctime_reversal", "crossing_count_at_fraction:0.2_vs_0.8"),
+        ("loctime_reversal", "crossing_count_at_fraction:0.35_vs_0.65"),
+    ],
+    "width_reversal": [
+        ("width_reversal", "width_at_fraction:0.2_vs_left_0.8"),
+        ("width_reversal", "width_at_fraction:0.35_vs_left_0.65"),
+        ("width_reversal", "time_weighted_area_vs_reversed"),
+    ],
+    "negative_control": [
+        ("negative_control[mass_mismatch]", "lifetime_mass_mismatch"),
+        ("negative_control[mass_mismatch]", "loglr_mass_mismatch"),
+        ("negative_control[pre_vs_post]", "abs_area_pre_vs_post"),
+    ],
+}
+
 
 class TestSuiteRuns:
     @pytest.mark.parametrize("name", [n for n in SUITE_NAMES
@@ -186,6 +253,8 @@ class TestSuiteRuns:
         assert result.passed
         assert result.exact_failures == 0
         assert len(result.reports) == EXPECTED_REPORT_COUNTS[name]
+        assert ([(r.suite, r.functional) for r in result.reports]
+                == EXPECTED_REPORT_LABELS[name])
         assert all(r.verdict == "Pass" for r in result.reports)
         assert all(r.n_a == 300 and r.n_b == 300 for r in result.reports)
 
@@ -222,6 +291,8 @@ class TestNegativeControl:
         result = run_suite("negative_control", n=2000, seed=DEFAULT_SEED)
         assert (len(result.reports)
                 == EXPECTED_REPORT_COUNTS["negative_control"])
+        assert ([(r.suite, r.functional) for r in result.reports]
+                == EXPECTED_REPORT_LABELS["negative_control"])
         by_name = {r.functional: r for r in result.reports}
         gate = by_name["loglr_mass_mismatch"]
         lifetime = by_name["lifetime_mass_mismatch"]
