@@ -319,7 +319,12 @@ def _cmd_hist(args) -> int:
     if len(accepted) < n:
         raise RuntimeError(f"conditioning accepted only {len(accepted)}/{n} "
                            "samples in 64 batches")
-    values = np.asarray([functional(o) for o in accepted[:n]], dtype=float)
+    try:
+        values = np.asarray([functional(o) for o in accepted[:n]],
+                            dtype=float)
+    except AttributeError:
+        raise ValueError(f"functional {spec!r} does not apply to the "
+                         f"objects of suite {suite!r}") from None
     counts, edges = np.histogram(values, bins=bins)
     masses = counts / float(n)
     rows = ["low,high,mass"]

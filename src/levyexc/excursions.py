@@ -4,9 +4,10 @@ For an excursion ``e`` above the infimum (starts with an upward jump from
 0, drifts down between upward jumps, ends on returning to 0), with
 ``argmax_time(e)`` the first time the supremum is attained:
 
-* :func:`pre_sup` is the excursion killed at the argmax time (the jump landing
-  on the supremum included);
-* :func:`post_sup` is the remainder, recentred to start at 0;
+* :func:`pre_sup` and :func:`post_sup` cut the excursion at the argmax
+  segment, the first whose end jump lands on the supremum: ``pre_sup``
+  keeps the segments up to and including it, ``post_sup`` the rest,
+  recentred to start at 0;
 * :func:`supremum_swap` rotates the two halves in place: the pre-supremum
   part is space-time reversed, the post-supremum part likewise, and the
   two are glued back at the (preserved) supremum.  It is an involution
@@ -53,18 +54,32 @@ def peak_value(path: EventPath) -> float:
     return path.first_argmax()[1]
 
 
+def _cut(path: EventPath) -> tuple:
+    """(head, tail, peak): the segments up to and including the argmax
+    segment, the segments after it, and the maximum.
+
+    The first maximum is attained at a segment boundary (post-jump values
+    count), so the supremum split is a slice; ``head`` is empty when the
+    maximum is the value at t = 0.
+    """
+    i, peak = path._argmax()
+    return path.segments[:i + 1], path.segments[i + 1:], peak
+
+
 def pre_sup(path: EventPath) -> EventPath:
-    """The path killed at the argmax time, ending at the supremum.
+    """The path up to the argmax time, ending at the supremum.
 
     The argmax time is a jump time whenever the maximum is attained by a jump
-    (always, for downward-drifting paths); the killed path keeps it.
+    (always, for downward-drifting paths); the cut keeps that jump.
     """
-    return path.kill(argmax_time(path))
+    head, _, _ = _cut(path)
+    return EventPath(path.x0, path.initial_jump, head)
 
 
 def post_sup(path: EventPath) -> EventPath:
     """The path after the argmax time, recentred to start at 0 from the supremum."""
-    return path.shift_centered(argmax_time(path))
+    _, tail, _ = _cut(path)
+    return EventPath(0.0, 0.0, tail)
 
 
 def supremum_swap(path: EventPath) -> EventPath:
@@ -75,9 +90,9 @@ def supremum_swap(path: EventPath) -> EventPath:
     supremum, where the rotated post half (translated up by the supremum)
     takes over.  Applying the map twice gives back the original path.
     """
-    g, peak = path.first_argmax()
-    left = path.kill(g).rotate()
-    right = path.shift_centered(g).rotate().translate(peak)
+    head, tail, peak = _cut(path)
+    left = EventPath(path.x0, path.initial_jump, head).rotate()
+    right = EventPath(0.0, 0.0, tail).rotate().translate(peak)
     return concat(left, right)
 
 

@@ -21,7 +21,6 @@ Conventions shared by all operations:
 
 from __future__ import annotations
 
-import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -152,58 +151,6 @@ class EventPath:
 
     # -- path surgery ----------------------------------------------------
 
-    def kill(self, s: float) -> "EventPath":
-        """Freeze the path at time s (constant afterwards).
-
-        Killing at a jump time keeps the jump: the killed path ends at the
-        post-jump value.  ``s >= lifetime`` returns the path unchanged and
-        ``s = 0`` returns the constant path at the (post-jump) start value.
-        """
-        if s < 0.0:
-            raise ValueError(f"kill time {s!r} < 0")
-        if s >= self.lifetime:
-            return self
-        if s == 0.0:
-            return EventPath(self.x0, self.initial_jump, ())
-        kept: list[Segment] = []
-        for i, (dur, slope, jump) in enumerate(self.segments):
-            t_end = self._times[i]
-            if s >= t_end:
-                kept.append((dur, slope, jump))  # jump at t_end == s retained
-                if s == t_end:
-                    break
-            else:
-                t_start = self._times[i - 1] if i > 0 else 0.0
-                kept.append((s - t_start, slope, 0.0))
-                break
-        return EventPath(self.x0, self.initial_jump, tuple(kept))
-
-    def shift(self, s: float) -> "EventPath":
-        """The path from time s onward, t -> p(s + t), values unchanged."""
-        if s < 0.0 or s > self.lifetime:
-            raise ValueError(f"shift time {s!r} outside [0, {self.lifetime!r}]")
-        if s == 0.0:
-            return EventPath(self.x0, 0.0, self.segments)
-        v0 = self.evaluate(s)
-        kept: list[Segment] = []
-        for i, (dur, slope, jump) in enumerate(self.segments):
-            t_end = self._times[i]
-            if t_end <= s:
-                continue
-            # Compare against the stored breakpoint, not t_end - dur: the
-            # recomputed difference can miss an exact breakpoint by an ulp.
-            t_start = self._times[i - 1] if i > 0 else 0.0
-            if t_start < s:
-                kept.append((t_end - s, slope, jump))
-            else:
-                kept.append((dur, slope, jump))
-        return EventPath(v0, 0.0, tuple(kept))
-
-    def shift_centered(self, s: float) -> "EventPath":
-        """The recentered shift t -> p(s + t) - p(s); starts at 0."""
-        p = self.shift(s)
-        return EventPath(0.0, 0.0, p.segments)
-
     def translate(self, dy: float) -> "EventPath":
         """Vertical translation by dy."""
         return EventPath(self.x0 + dy, self.initial_jump, self.segments)
@@ -231,18 +178,28 @@ class EventPath:
 
     # -- extrema ----------------------------------------------------------
 
+    def _argmax(self) -> tuple[int, float]:
+        """(i, value) of the first maximal attained value.
+
+        Post-jump values count, so the maximum is attained at t = 0
+        (``i = -1``) or at the end of segment ``i``, a segment boundary.
+        """
+        best_i, best_v = -1, self.x0
+        for i, (start, (dur, slope, jump)) in enumerate(
+                zip(self._starts, self.segments)):
+            w = start + slope * dur + jump
+            if w > best_v:
+                best_i, best_v = i, w
+        return best_i, best_v
+
     def first_argmax(self) -> tuple[float, float]:
         """Smallest (t, p(t)) attaining the max over attained values.
 
         Post-jump values count; for paths whose supremum is attained (all
         downward-drifting jump paths) this is the supremum.
         """
-        best_t, best_v = 0.0, self.x0
-        for i, (dur, slope, jump) in enumerate(self.segments):
-            w = self._starts[i] + slope * dur + jump
-            if w > best_v:
-                best_t, best_v = self._times[i], w
-        return best_t, best_v
+        i, v = self._argmax()
+        return (self._times[i] if i >= 0 else 0.0), v
 
     def _range_values(self) -> list[float]:
         """Closure of the range on [0-, lifetime].
@@ -334,10 +291,3 @@ def path_from_dict(d: dict) -> EventPath:
     return EventPath(d["x0"], d.get("initial_jump", 0.0),
                      tuple(tuple(s) for s in d["segments"]))
 
-
-def path_to_json(p: EventPath) -> str:
-    return json.dumps(path_to_dict(p), sort_keys=True)
-
-
-def path_from_json(s: str) -> EventPath:
-    return path_from_dict(json.loads(s))

@@ -85,10 +85,6 @@ class SplittingTree:
     def extinction_time(self) -> float:
         return max(n.death_time for n in self.nodes())
 
-    def total_length(self) -> float:
-        """Sum of all lifespans (total branch length)."""
-        return sum(n.lifespan for n in self.nodes())
-
 
 def sample_tree(jumps, rng: np.random.Generator,
                 root_lifespan: float = None,

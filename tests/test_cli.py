@@ -256,6 +256,18 @@ class TestHist:
                           "--min-height", "0.5", "--n", "100")
         assert code == EXIT_USAGE
 
+    def test_width_functional_on_path_suite_exits_2(self, capsys):
+        code = main(["hist", "--suite", "sup_swap",
+                     "--functional", "width_at_fraction:0.2", "--n", "50"])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "width_at_fraction:0.2" in err and "sup_swap" in err
+
+    def test_path_functional_on_width_suite_exits_2(self, capsys):
+        code, _ = run_cli(capsys, "hist", "--suite", "width_reversal",
+                          "--functional", "area", "--n", "50")
+        assert code == EXIT_USAGE
+
 
 class TestParser:
     def test_unknown_subcommand_exits_2(self):

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from levyexc.excursions import (
     LocalTimeProfile,
@@ -53,6 +55,65 @@ class TestSupremumSplit:
     def test_split_reconstructs_excursion(self):
         glued = concat(pre_sup(EXC), post_sup(EXC).translate(peak_value(EXC)))
         assert glued == EXC
+
+    def test_cut_survives_tied_segment_end_times(self):
+        # The second segment is so short that its end time rounds onto the
+        # first one's (1 + 1e-17 == 1), yet its jump carries the path from
+        # 0.5 to the peak 3.5.  The cut is by segment, so it keeps that jump.
+        e = EventPath(1.0, 1.0, ((1.0, -1.0, 0.5), (1e-17, -1.0, 3.0),
+                                 (5.0, -1.0, 0.0)))
+        assert pre_sup(e).segments == e.segments[:2]
+        assert pre_sup(e).end_value() == peak_value(e) == 3.5
+        assert post_sup(e) == EventPath(0.0, 0.0, ((5.0, -1.0, 0.0),))
+
+
+# Grid step of the generated paths.  Values, drops and jumps are dyadic
+# rationals with few bits and slopes are powers of two, so every value the
+# path algebra computes is exact and ties of the maximum are exact ties.
+STEP = 0.25
+SLOPES = st.sampled_from((-0.5, -1.0, -2.0))
+
+
+@st.composite
+def excursion_paths(draw):
+    """Excursion-shaped paths: an opening jump from 0, negative slopes and
+    positive interior jumps, staying above 0 until the path either drifts
+    back to 0 or ends on a jump to a new strict maximum.  Interior jumps may
+    land exactly on the running maximum, the opening value included."""
+    x0 = v = top = draw(st.integers(1, 8)) * STEP
+    segs = []
+    for _ in range(draw(st.integers(0, 6))):
+        slope = draw(SLOPES)
+        low = v - draw(st.integers(1, 3)) * v / 4  # stays above 0
+        if draw(st.booleans()):
+            jump = top - low  # a tie with the running maximum
+        else:
+            jump = draw(st.integers(1, 8)) * STEP
+        segs.append(((v - low) / -slope, slope, jump))
+        v = low + jump
+        top = max(top, v)
+    slope = draw(SLOPES)
+    if draw(st.booleans()):
+        segs.append((v / -slope, slope, 0.0))  # drifts back to 0
+    else:  # the last jump lands above every earlier value
+        jump = top - v / 2 + draw(st.integers(1, 8)) * STEP
+        segs.append((v / 2 / -slope, slope, jump))
+    return EventPath(x0, x0, tuple(segs))
+
+
+@settings(derandomize=True, deadline=None)
+@given(excursion_paths())
+# maximum at t = 0, tied by the jump that ends the first segment
+@example(EventPath(2.0, 2.0, ((1.0, -1.0, 1.0), (2.0, -1.0, 0.0))))
+# maximum at the last jump
+@example(EventPath(1.0, 1.0, ((0.5, -1.0, 2.0),)))
+def test_supremum_cut_properties(e):
+    peak = peak_value(e)
+    head, tail = pre_sup(e), post_sup(e)
+    assert concat(head, tail.translate(peak)) == e
+    assert supremum_swap(supremum_swap(e)) == e
+    assert head.lifetime == argmax_time(e)
+    assert head.end_value() == peak
 
 
 class TestSupremumSwap:

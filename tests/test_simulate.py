@@ -13,6 +13,7 @@ import math
 import numpy as np
 import pytest
 
+from levyexc.excursions import peak_value
 from levyexc.models import ExponentialJumps, LevyModel, NullJumps
 from levyexc.paths import EventPath
 from levyexc.simulate import (
@@ -30,6 +31,7 @@ from levyexc.simulate import (
     sample_killed_sup_excursions,
     sample_path_fv,
 )
+from levyexc.verify import PER_FUNCTIONAL_ALPHA, ks_two_sample, permutation_ks
 
 # Unit drift, jump rate 1, jump sizes Exp(2): drifts to -inf at speed 1/2.
 MODEL = LevyModel.from_drift(1.0, ExponentialJumps(1.0, 2.0))
@@ -203,6 +205,24 @@ class TestExtractExcursions:
     def test_negative_jump_rejected(self):
         with pytest.raises(ValueError):
             extract_excursions(EventPath(0.0, 0.0, ((1.0, -1.0, -0.5),)))
+
+    def test_law_matches_sampled_excursions(self):
+        # By the strong Markov property the excursions cut from one long
+        # path are i.i.d. with the law sample_excursions draws directly.
+        stream = RngStream(61).child("extract_law")
+        path = sample_path_fv(MODEL, 0.0, ExcursionCount(2000),
+                              stream.child("path").generator())
+        cut = [e.path for e in extract_excursions(path) if e.complete]
+        assert len(cut) == 2000
+        direct = sample_excursions(MODEL, 2000,
+                                   stream.child("direct").generator())
+        for f in (lambda e: e.lifetime, peak_value):
+            _, p = ks_two_sample([f(e) for e in cut], [f(e) for e in direct])
+            assert p > PER_FUNCTIONAL_ALPHA
+        _, p = permutation_ks([e.jump_count() for e in cut],
+                              [e.jump_count() for e in direct],
+                              stream.child("perm").generator())
+        assert p > PER_FUNCTIONAL_ALPHA
 
 
 class TestExtractSupExcursions:

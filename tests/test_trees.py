@@ -41,13 +41,13 @@ class TestTreeBasics:
         t = worked_tree()
         assert t.size == 4
         assert t.extinction_time == 3.0
-        assert t.total_length() == 6.5
+        assert width_process(t).integral() == 6.5
 
     def test_sample_deterministic(self):
         a = sample_tree(JUMPS, RngStream(3).child("t").generator())
         b = sample_tree(JUMPS, RngStream(3).child("t").generator())
         assert a.size == b.size
-        assert a.total_length() == b.total_length()
+        assert width_process(a).integral() == width_process(b).integral()
 
     def test_expected_size(self):
         # Offspring mean m = b * E[lifespan] = 1/2: E[size] = 1/(1-m) = 2.
@@ -122,7 +122,8 @@ class TestContour:
             p = jccp(tree)
             spans = sorted(n.lifespan for n in tree.nodes())
             assert sorted(p.jumps()) == pytest.approx(spans)
-            assert p.lifetime == pytest.approx(tree.total_length(), rel=1e-12)
+            assert p.lifetime == pytest.approx(width_process(tree).integral(),
+                                              rel=1e-12)
             assert p.end_value() == pytest.approx(0.0, abs=1e-12)
 
     def test_contour_width_identity_worked(self):
@@ -159,7 +160,7 @@ class TestLambertCorrespondence:
         lengths, counts = [], []
         for _ in range(n):
             tree = sample_tree(JUMPS, rng, root_lifespan=1.0)
-            lengths.append(tree.total_length())
+            lengths.append(width_process(tree).integral())
             counts.append(tree.size - 1)
         assert np.mean(lengths) == pytest.approx(2.0, abs=0.25)
         assert np.mean(counts) == pytest.approx(2.0, abs=0.3)
