@@ -27,8 +27,6 @@ them into occupation densities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from levyexc.paths import EventPath, concat
 
 __all__ = [
@@ -39,8 +37,6 @@ __all__ = [
     "supremum_swap",
     "pointwise_reflection",
     "local_time_count",
-    "LocalTimeProfile",
-    "local_time_fv",
 ]
 
 
@@ -128,42 +124,3 @@ def local_time_count(path: EventPath, r: float) -> int:
         else:
             raise ValueError("plateau segment: crossing count undefined")
     return n
-
-
-@dataclass(frozen=True)
-class LocalTimeProfile:
-    """Piecewise-constant crossing-count profile of a path.
-
-    ``counts[i]`` is the crossing count on the open level interval
-    ``(breakpoints[i], breakpoints[i+1])``; counts at the breakpoints
-    themselves depend on the half-open segment conventions and are
-    available through :func:`local_time_count`.
-    """
-
-    breakpoints: tuple
-    counts: tuple
-    kind: str = "crossing_fv"
-
-    def __post_init__(self):
-        if len(self.counts) != max(len(self.breakpoints) - 1, 0):
-            raise ValueError("need one count per breakpoint gap")
-
-
-def local_time_fv(path: EventPath) -> LocalTimeProfile:
-    """Crossing-count profile of a piecewise-linear path.
-
-    Breakpoints are the segment endpoint values; between consecutive
-    breakpoints the crossing count is constant and is evaluated at the
-    midpoint.
-    """
-    endpoints = set()
-    for i, (dur, slope, jump) in enumerate(path.segments):
-        if slope == 0.0:
-            raise ValueError("plateau segment: crossing count undefined")
-        a = path._starts[i]
-        endpoints.add(a)
-        endpoints.add(a + slope * dur)
-    bps = tuple(sorted(endpoints))
-    counts = tuple(local_time_count(path, 0.5 * (bps[i] + bps[i + 1]))
-                   for i in range(len(bps) - 1))
-    return LocalTimeProfile(bps, counts)

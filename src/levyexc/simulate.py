@@ -59,6 +59,7 @@ __all__ = [
 ]
 
 # Guard against runaway event loops (buggy stop rules, critical models).
+# Read at call time, so a test can lower it.
 DEFAULT_MAX_EVENTS = 5_000_000
 
 # An excursion is considered closed once it comes within this distance of
@@ -142,7 +143,7 @@ def _check_exact(model: LevyModel):
 
 def _drift_jump(model: LevyModel, v: float, floor: float, ceiling: float,
                 horizon: float, excursions: int, segs: Optional[list],
-                rng: np.random.Generator, max_events: int) -> bool:
+                rng: np.random.Generator) -> bool:
     """Run the exact dynamics from value ``v`` at time 0 until a stop.
 
     Each step draws an exponential wait and then, unless the run stopped
@@ -158,7 +159,7 @@ def _drift_jump(model: LevyModel, v: float, floor: float, ceiling: float,
 
     Every segment up to the stop is appended to ``segs`` unless it is None;
     a jump that hits the ceiling is not.  Raises ``RuntimeError`` when
-    ``max_events`` waits pass without a stop.
+    :data:`DEFAULT_MAX_EVENTS` waits pass without a stop.
     """
     d = model.drift
     b = model.jumps.mass
@@ -166,7 +167,7 @@ def _drift_jump(model: LevyModel, v: float, floor: float, ceiling: float,
     mean_wait = 1.0 / b if b > 0.0 else 0.0
     slope = -d
     t = 0.0
-    for _ in range(max_events):
+    for _ in range(DEFAULT_MAX_EVENTS):
         wait = rng.exponential(mean_wait) if b > 0.0 else math.inf
         delta = (v - floor) / d
         if delta <= wait and t + delta <= horizon:
@@ -191,18 +192,17 @@ def _drift_jump(model: LevyModel, v: float, floor: float, ceiling: float,
             floor = v
         v += jump
         t += wait
-    raise RuntimeError(f"no stop within {max_events} events")
+    raise RuntimeError(f"no stop within {DEFAULT_MAX_EVENTS} events")
 
 
 def sample_path_fv(model: LevyModel, x0: float, stop: StopRule,
-                   rng: np.random.Generator,
-                   max_events: int = DEFAULT_MAX_EVENTS) -> EventPath:
+                   rng: np.random.Generator) -> EventPath:
     """Exact path of a finite-variation model from ``x0`` until ``stop``.
 
     The path drifts at slope ``-d`` and jumps upward at rate ``b``; all
     event times and values are exact up to float rounding.  Raises
-    ``RuntimeError`` if ``max_events`` jumps occur before the stop rule
-    fires.
+    ``RuntimeError`` if :data:`DEFAULT_MAX_EVENTS` jumps occur before the
+    stop rule fires.
     """
     _check_exact(model)
     floor, horizon, excursions = -math.inf, math.inf, 0
@@ -222,7 +222,7 @@ def sample_path_fv(model: LevyModel, x0: float, stop: StopRule,
         excursions = stop.count
     segs: list[Segment] = []
     _drift_jump(model, float(x0), floor, math.inf, horizon, excursions, segs,
-                rng, max_events)
+                rng)
     return EventPath(x0, 0.0, tuple(segs))
 
 
@@ -403,8 +403,7 @@ def _attempt_cap(n: int) -> int:
 
 
 def sample_excursions(model: LevyModel, n: int, rng: np.random.Generator,
-                      condition: Condition = AnyExcursion(),
-                      max_events: int = DEFAULT_MAX_EVENTS) -> list:
+                      condition: Condition = AnyExcursion()) -> list:
     """``n`` independent excursions above the infimum, under a condition.
 
     Each draw opens with a jump from the normalised jump measure and runs
@@ -418,15 +417,16 @@ def sample_excursions(model: LevyModel, n: int, rng: np.random.Generator,
                          "close; condition the model first")
     if model.jumps.mass <= 0.0:
         raise ValueError("excursion sampling needs jumps")
+    _check_exact(model)
     max_attempts = _attempt_cap(n)
     out = []
     for _ in range(max_attempts):
         if len(out) >= n:
             break
         j = float(model.jumps.sample(rng))
-        body = sample_path_fv(model, j, FirstPassage(0.0), rng,
-                              max_events=max_events)
-        exc = EventPath(j, j, body.segments)
+        segs: list[Segment] = []
+        _drift_jump(model, j, 0.0, math.inf, math.inf, 0, segs, rng)
+        exc = EventPath(j, j, tuple(segs))
         if condition.check(exc):
             out.append(exc)
     if len(out) < n:
@@ -437,8 +437,7 @@ def sample_excursions(model: LevyModel, n: int, rng: np.random.Generator,
 
 
 def sample_killed_sup_excursions(model: LevyModel, n: int, depth: float,
-                                 rng: np.random.Generator,
-                                 max_events: int = DEFAULT_MAX_EVENTS) -> list:
+                                 rng: np.random.Generator) -> list:
     """``n`` excursions below the running supremum, conditioned to reach
     ``-depth`` and killed at that (continuous) passage.
 
@@ -460,8 +459,7 @@ def sample_killed_sup_excursions(model: LevyModel, n: int, depth: float,
         if len(out) >= n:
             break
         segs: list[Segment] = []
-        if _drift_jump(model, 0.0, -depth, 0.0, math.inf, 0, segs, rng,
-                       max_events):
+        if _drift_jump(model, 0.0, -depth, 0.0, math.inf, 0, segs, rng):
             out.append(EventPath(0.0, 0.0, tuple(segs)))
     if len(out) < n:
         raise RuntimeError(
@@ -485,6 +483,5 @@ def exit_probability_mc(model: LevyModel, x: float, a: float, n: int,
         raise ValueError("need at least one replication")
     hits = 0
     for _ in range(n):
-        hits += _drift_jump(model, float(x), 0.0, a, math.inf, 0, None, rng,
-                            DEFAULT_MAX_EVENTS)
+        hits += _drift_jump(model, float(x), 0.0, a, math.inf, 0, None, rng)
     return hits / n

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from levyexc.excursions import local_time_count, local_time_fv
+from levyexc.excursions import local_time_count
 from levyexc.paths import EventPath
 
 __all__ = [
@@ -47,7 +47,11 @@ __all__ = [
     "tree_from_dict",
 ]
 
+# Node budget of one tree; read at call time, so a test can lower it.
 DEFAULT_MAX_NODES = 1_000_000
+# Level tolerance of the contour-width check: float reassociation along the
+# contour moves a level by a few ulps of the tree's time scale.
+LEVEL_TOL = 1e-9
 
 
 @dataclass
@@ -87,13 +91,13 @@ class SplittingTree:
 
 
 def sample_tree(jumps, rng: np.random.Generator,
-                root_lifespan: float = None,
-                max_nodes: int = DEFAULT_MAX_NODES) -> SplittingTree:
+                root_lifespan: float = None) -> SplittingTree:
     """Sample a splitting tree driven by a finite-mass jump measure.
 
     Lifespans are drawn from the normalised measure (``root_lifespan``
     overrides the founder's draw); births occur at rate ``jumps.mass``
-    along each life.  Raises ``RuntimeError`` beyond ``max_nodes``.
+    along each life.  Raises ``RuntimeError`` beyond
+    :data:`DEFAULT_MAX_NODES` nodes.
     """
     b = jumps.mass
     if b <= 0.0:
@@ -109,8 +113,8 @@ def sample_tree(jumps, rng: np.random.Generator,
         if n_kids == 0:
             continue
         count += n_kids
-        if count > max_nodes:
-            raise RuntimeError(f"tree exceeded {max_nodes} nodes")
+        if count > DEFAULT_MAX_NODES:
+            raise RuntimeError(f"tree exceeded {DEFAULT_MAX_NODES} nodes")
         offsets = np.sort(rng.uniform(0.0, node.lifespan, size=n_kids))
         for off in offsets:
             child = TreeNode(node.birth_time + float(off),
@@ -213,29 +217,30 @@ def jccp(tree: SplittingTree) -> EventPath:
                      tuple((d, s, j) for d, s, j in segs))
 
 
-def contour_width_identity(tree: SplittingTree, tol: float = 1e-9) -> bool:
+def contour_width_identity(tree: SplittingTree) -> bool:
     """Check that contour crossing counts equal the width, exactly.
 
     Compares integer crossing counts of the contour path against the
     width at the midpoint of every inter-event interval, checks that the
-    contour's level breakpoints coincide with the tree's event times up
-    to ``tol`` (float reassociation along the contour), and that the
-    contour lifetime equals the total branch length.
+    contour's segment endpoint levels coincide with the tree's event times
+    up to :data:`LEVEL_TOL`, and that the contour lifetime equals the total
+    branch length.
     """
     path = jccp(tree)
     width = width_process(tree)
-    if not math.isclose(path.lifetime, width.integral(),
-                        rel_tol=0.0, abs_tol=max(tol, tol * path.lifetime)):
+    if not math.isclose(path.lifetime, width.integral(), rel_tol=0.0,
+                        abs_tol=LEVEL_TOL * max(1.0, path.lifetime)):
         return False
     times = width.times
-    for bp in local_time_fv(path).breakpoints:
-        i = bisect_left(times, bp)
-        near = min((abs(bp - times[j]) for j in (i - 1, i)
-                    if 0 <= j < len(times)), default=math.inf)
-        if near > tol:
-            return False
+    for start, (dur, slope, _) in zip(path._starts, path.segments):
+        for level in (start, start + slope * dur):
+            i = bisect_left(times, level)
+            near = min((abs(level - times[j]) for j in (i - 1, i)
+                        if 0 <= j < len(times)), default=math.inf)
+            if near > LEVEL_TOL:
+                return False
     for a, b in zip(times, times[1:]):
-        if b - a <= 2.0 * tol:
+        if b - a <= 2.0 * LEVEL_TOL:
             continue
         mid = 0.5 * (a + b)
         if local_time_count(path, mid) != width.value_at(mid):

@@ -15,10 +15,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from levyexc.excursions import (
-    LocalTimeProfile,
     argmax_time,
     local_time_count,
-    local_time_fv,
     peak_value,
     pointwise_reflection,
     post_sup,
@@ -116,6 +114,29 @@ def test_supremum_cut_properties(e):
     assert head.end_value() == peak
 
 
+@settings(derandomize=True, deadline=None)
+@given(excursion_paths())
+def test_rotation_properties(e):
+    # Every generated path has pre-start value 0, so rotation is an
+    # involution; on the dyadic grid its invariants hold exactly.
+    r = e.rotate()
+    assert r.rotate() == e
+    assert r.lifetime == e.lifetime
+    assert sorted(r.jumps()) == sorted(e.jumps())
+    assert r.sup() - r.inf() == e.sup() - e.inf()
+
+
+@settings(derandomize=True, deadline=None)
+@given(excursion_paths())
+def test_swap_preserves_pathwise_invariants(e):
+    # What the sup_swap suite asserts on every sample, exactly here.
+    s = supremum_swap(e)
+    assert s.lifetime == e.lifetime
+    assert peak_value(s) == peak_value(e)
+    assert argmax_time(s) == argmax_time(e)
+    assert sorted(s.jumps()) == sorted(e.jumps())
+
+
 class TestSupremumSwap:
     def test_worked_example(self):
         # Pre half rotated: the supremum-attaining jump 2 moves to t=0 and
@@ -202,18 +223,6 @@ class TestCrossingCounts:
         p = EventPath(0.0, 0.0, ((1.0, 0.0, 1.0),))
         with pytest.raises(ValueError):
             local_time_count(p, 0.5)
-        with pytest.raises(ValueError):
-            local_time_fv(p)
-
-    def test_profile_worked(self):
-        prof = local_time_fv(EXC)
-        assert prof.breakpoints == (0.0, 0.5, 1.0, 2.5)
-        assert prof.counts == (1, 2, 1)
-        assert prof.kind == "crossing_fv"
-
-    def test_profile_validation(self):
-        with pytest.raises(ValueError):
-            LocalTimeProfile((0.0, 1.0), (1, 2))
 
     def test_occupation_identity_exact(self):
         # Occupation density = crossings / drift speed: the time the worked

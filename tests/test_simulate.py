@@ -13,8 +13,9 @@ import math
 import numpy as np
 import pytest
 
+from levyexc import simulate
 from levyexc.excursions import peak_value
-from levyexc.models import ExponentialJumps, LevyModel, NullJumps
+from levyexc.models import ExponentialJumps, LevyModel, NullJumps, named_model
 from levyexc.paths import EventPath
 from levyexc.simulate import (
     AnyExcursion,
@@ -109,17 +110,18 @@ class TestSamplePathFv:
         assert p.end_value() == pytest.approx(-excs[-1].start_local_time,
                                               abs=1e-9)
 
-    def test_event_cap(self):
+    def test_event_cap(self, monkeypatch):
         rng = RngStream(1).child("cap").generator()
+        monkeypatch.setattr(simulate, "DEFAULT_MAX_EVENTS", 100)
         with pytest.raises(RuntimeError):
-            sample_path_fv(MODEL, 0.0, Horizon(1e9), rng, max_events=100)
+            sample_path_fv(MODEL, 0.0, Horizon(1e9), rng)
         # Unreachable targets keep the draws coming until one of them runs
         # into the cap.
+        monkeypatch.setattr(simulate, "DEFAULT_MAX_EVENTS", 3)
         with pytest.raises(RuntimeError, match="within 3 events"):
-            sample_excursions(MODEL, 1, rng, HeightAtLeast(1e6),
-                              max_events=3)
+            sample_excursions(MODEL, 1, rng, HeightAtLeast(1e6))
         with pytest.raises(RuntimeError, match="within 3 events"):
-            sample_killed_sup_excursions(MODEL, 1, 1e6, rng, max_events=3)
+            sample_killed_sup_excursions(MODEL, 1, 1e6, rng)
 
     def test_brownian_model_rejected(self):
         m = LevyModel(alpha=-1.0, beta=1.0, jumps=NullJumps())
@@ -269,6 +271,48 @@ class TestExtractSupExcursions:
         slts = [e.start_local_time for e in excs]
         assert all(b >= a - 1e-12 for a, b in zip(slts, slts[1:]))
 
+    def test_law_matches_killed_sup_excursions(self):
+        # Below-supremum excursions cut from one path are i.i.d. by the
+        # strong Markov property at record times, so those reaching -0.5,
+        # killed there, have the law sample_killed_sup_excursions draws.  A
+        # path stopped at its first passage to -0.5 ends inside an excursion
+        # that has already reached that depth (relative to its opening
+        # record, which is >= 0), so no kept excursion is censored.  Most
+        # killed excursions have no jump before the kill (lifetime 0.5 and
+        # area -0.125 exactly), so the asymptotic p-values are conservative;
+        # a kill at another depth moves that atom and is rejected outright.
+        stream = RngStream(61).child("extract_sup_law")
+        g = stream.child("paths").generator()
+        cut = []
+        while len(cut) < 2000:
+            path = sample_path_fv(MODEL, 0.0, FirstPassage(-0.5), g)
+            excs = extract_sup_excursions(path)
+            killed = [killed_at_depth(e.path, 0.5) for e in excs]
+            assert killed[-1] is not None
+            cut.extend(k for k in killed if k is not None)
+        cut = cut[:2000]
+        direct = sample_killed_sup_excursions(
+            MODEL, 2000, 0.5, stream.child("direct").generator())
+        for f in (lambda e: e.lifetime, lambda e: e.area()):
+            _, p = ks_two_sample([f(e) for e in cut], [f(e) for e in direct])
+            assert p > PER_FUNCTIONAL_ALPHA
+        _, p = permutation_ks([e.jump_count() for e in cut],
+                              [e.jump_count() for e in direct],
+                              stream.child("perm").generator())
+        assert p > PER_FUNCTIONAL_ALPHA
+
+
+def killed_at_depth(path, depth):
+    """``path`` (from 0, drifting down) up to its first passage to
+    ``-depth``, or None when it never gets that low."""
+    segs = []
+    for start, (dur, slope, jump) in zip(path._starts, path.segments):
+        if start + slope * dur <= -depth:
+            segs.append(((start + depth) / -slope, slope, 0.0))
+            return EventPath(0.0, 0.0, tuple(segs))
+        segs.append((dur, slope, jump))
+    return None
+
 
 class TestSampleExcursions:
     def test_structure_and_determinism(self):
@@ -307,3 +351,25 @@ class TestSampleExcursions:
     def test_supercritical_rejected(self):
         with pytest.raises(ValueError):
             sample_excursions(SUPER, 1, RngStream(0).generator())
+
+    @pytest.mark.parametrize("name", ["bd", "dirac"])
+    @pytest.mark.parametrize("condition", [AnyExcursion(),
+                                           HeightAtLeast(1.0)])
+    def test_equals_jump_then_first_passage(self, name, condition):
+        # One kernel call per draw must give exactly the excursions of the
+        # composition it replaces: the opening jump, then a path from it to
+        # its first passage to 0, re-based on the opening jump.
+        model = named_model(name)
+        composed_rng = RngStream(71).child("compose", name).generator()
+        composed = []
+        while len(composed) < 200:
+            j = float(model.jumps.sample(composed_rng))
+            body = sample_path_fv(model, j, FirstPassage(0.0), composed_rng)
+            exc = EventPath(j, j, body.segments)
+            if condition.check(exc):
+                composed.append(exc)
+        direct_rng = RngStream(71).child("compose", name).generator()
+        assert sample_excursions(model, 200, direct_rng,
+                                 condition) == composed
+        assert (direct_rng.bit_generator.state
+                == composed_rng.bit_generator.state)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from levyexc import trees
 from levyexc.models import ExponentialJumps
 from levyexc.paths import EventPath
 from levyexc.simulate import RngStream
@@ -59,14 +60,13 @@ class TestTreeBasics:
         t = sample_tree(JUMPS, RngStream(1).generator(), root_lifespan=7.0)
         assert t.root.lifespan == 7.0
 
-    def test_node_cap(self):
+    def test_node_cap(self, monkeypatch):
         # Founder with span 200 spawns ~Poisson(1000) children, so the
         # 500-node budget is exhausted regardless of the seed.
         heavy = ExponentialJumps(5.0, 1.0)
+        monkeypatch.setattr(trees, "DEFAULT_MAX_NODES", 500)
         with pytest.raises(RuntimeError):
-            sample_tree(
-                heavy, RngStream(2).generator(), root_lifespan=200.0, max_nodes=500
-            )
+            sample_tree(heavy, RngStream(2).generator(), root_lifespan=200.0)
 
     def test_children_sorted_by_birth(self):
         rng = RngStream(23).child("sorted").generator()

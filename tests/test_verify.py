@@ -8,17 +8,21 @@ full-size runs live in the acceptance tests.
 from __future__ import annotations
 
 import json
+from dataclasses import replace
+from operator import methodcaller
 
 import numpy as np
 import pytest
 import scipy.stats
 
+from levyexc import verify
 from levyexc.paths import EventPath
 from levyexc.simulate import RngStream
 from levyexc.verify import (
     _FUNCTIONALS,
     DEFAULT_SEED,
     DEFAULT_SUITE_SIZES,
+    N_PERMUTATIONS,
     PER_FUNCTIONAL_ALPHA,
     REJECT_ALPHA,
     SUITE_NAMES,
@@ -102,10 +106,9 @@ class TestPermutationKs:
     def test_separated_samples_hit_the_floor(self):
         a = np.zeros(100)
         b = np.ones(100)
-        d, p = permutation_ks(a, b, RngStream(7).generator(),
-                              n_permutations=2000)
+        d, p = permutation_ks(a, b, RngStream(7).generator())
         assert d == pytest.approx(1.0, abs=1e-12)
-        assert p == pytest.approx(1 / 2001)
+        assert p == pytest.approx(1 / (N_PERMUTATIONS + 1))
 
     def test_null_integer_samples_pass(self):
         g = RngStream(8).child("null").generator()
@@ -113,11 +116,6 @@ class TestPermutationKs:
         b = g.poisson(3.0, 500).astype(float)
         _, p = permutation_ks(a, b, RngStream(8).child("perm").generator())
         assert p > PER_FUNCTIONAL_ALPHA
-
-    def test_needs_a_permutation(self):
-        with pytest.raises(ValueError):
-            permutation_ks([1.0], [2.0], RngStream(1).generator(),
-                           n_permutations=0)
 
 
 class TestNullCalibration:
@@ -267,6 +265,23 @@ class TestSuiteRuns:
         # Pure relabelling suites have nothing to check exactly.
         loctime = run_suite("loctime_reversal", n=300, seed=DEFAULT_SEED)
         assert loctime.exact_checked == 0
+
+    def test_condition_flip_is_an_exact_failure(self, monkeypatch):
+        # A transform that moves every path out of the reach-the-depth event
+        # (lifting it by 1) keeps the lifetime and the jumps, so only the
+        # conditioning half of the exact check can catch it.  It must fail
+        # the suite sample by sample rather than end the run.
+        build = verify._SUITE_BUILDERS["sup_excursion_rotation"]
+        lifted = lambda model, params: [  # noqa: E731
+            replace(s, transform=methodcaller("translate", 1.0))
+            for s in build(model, params)]
+        monkeypatch.setitem(verify._SUITE_BUILDERS, "sup_excursion_rotation",
+                            lifted)
+        n = DEFAULT_SUITE_SIZES["sup_excursion_rotation"]
+        result = run_suite("sup_excursion_rotation", n=n, seed=DEFAULT_SEED)
+        assert result.exact_checked == n
+        assert result.exact_failures == n
+        assert not result.passed
 
     def test_identity_null_passes(self):
         result = run_suite("sup_swap", n=300, seed=DEFAULT_SEED,
