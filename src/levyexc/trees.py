@@ -52,6 +52,11 @@ DEFAULT_MAX_NODES = 1_000_000
 # Level tolerance of the contour-width check: float reassociation along the
 # contour moves a level by a few ulps of the tree's time scale.
 LEVEL_TOL = 1e-9
+# Deepest tree the nested dict form is built for.  The json encoder and
+# decoder recurse twice per generation (a node and its children list), so
+# this keeps an export and its read-back well inside the interpreter's
+# default recursion limit of 1000.
+MAX_EXPORT_GENERATIONS = 400
 
 
 @dataclass
@@ -252,24 +257,36 @@ def contour_width_identity(tree: SplittingTree) -> bool:
 
 
 def tree_to_dict(tree: SplittingTree) -> dict:
-    """Plain-dict form of a tree (JSON friendly, round-trips exactly)."""
+    """Plain-dict form of a tree (JSON friendly, round-trips exactly).
 
-    def node_dict(node: TreeNode) -> dict:
-        return {
-            "birth_time": node.birth_time,
-            "lifespan": node.lifespan,
-            "children": [node_dict(c) for c in node.children],
-        }
-
-    return node_dict(tree.root)
+    Raises ``RuntimeError`` for a tree of more than
+    :data:`MAX_EXPORT_GENERATIONS` generations.
+    """
+    root: dict = {}
+    deepest, stack = 0, [(tree.root, root, 1)]
+    while stack:
+        node, out, gen = stack.pop()
+        deepest = max(deepest, gen)
+        out["birth_time"] = node.birth_time
+        out["lifespan"] = node.lifespan
+        out["children"] = kids = []
+        for c in node.children:
+            kids.append({})
+            stack.append((c, kids[-1], gen + 1))
+    if deepest > MAX_EXPORT_GENERATIONS:
+        raise RuntimeError(f"tree has {deepest} generations; nested export "
+                           f"allows at most {MAX_EXPORT_GENERATIONS}")
+    return root
 
 
 def tree_from_dict(d: dict) -> SplittingTree:
     """Inverse of :func:`tree_to_dict`."""
-
-    def build(nd: dict) -> TreeNode:
-        node = TreeNode(float(nd["birth_time"]), float(nd["lifespan"]))
-        node.children.extend(build(c) for c in nd.get("children", ()))
-        return node
-
-    return SplittingTree(build(d))
+    root = TreeNode(float(d["birth_time"]), float(d["lifespan"]))
+    stack = [(d, root)]
+    while stack:
+        nd, node = stack.pop()
+        for c in nd.get("children", ()):
+            child = TreeNode(float(c["birth_time"]), float(c["lifespan"]))
+            node.children.append(child)
+            stack.append((c, child))
+    return SplittingTree(root)

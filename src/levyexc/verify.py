@@ -23,7 +23,8 @@ Design notes
   integer-valued functionals (jump counts, crossing counts, widths) use a
   permutation p-value for the Kolmogorov-Smirnov statistic, because the
   asymptotic null is wrong under heavy ties; continuous ones use the
-  asymptotic p-value at the effective sample size.
+  asymptotic p-value at the effective sample size.  A relabelling is drawn
+  as the A count of each tie group, not as a shuffle of the whole pool.
 - Sampling is conditioned to a positive-finite-mass event (everything here
   uses the unconditioned excursion law, a first-passage law, or a
   reach-a-depth conditioning).  What licenses testing an identity on
@@ -96,7 +97,9 @@ __all__ = [
 # k rows rejects a true identity with probability at most k * 1e-3: at most
 # 0.8% for killed_passage_rotation, which gates 8 rows, and at most 3.1% for
 # a full `levyexc verify` run at a fresh seed, whose invariance suites gate
-# 31 rows in all.
+# 31 rows in all.  Permutation rows are covered too: their add-one p over
+# N_PERMUTATIONS = 2000 relabellings is <= 1e-3 only if at most one of them
+# reaches the observed D, which a true null allows with chance <= 2/2001.
 PER_FUNCTIONAL_ALPHA = 1e-3
 # Threshold for tests that are *supposed* to reject (negative controls).
 REJECT_ALPHA = 1e-6
@@ -161,34 +164,29 @@ def permutation_ks(a, b, rng: np.random.Generator) -> tuple:
     """(D, p) for the KS statistic with a permutation null.
 
     Valid under arbitrary ties, hence used for integer-valued functionals.
-    The pooled sample is sorted once; relabelling turns the CDF difference
-    into a running sum of +1/n_a and -1/n_b weights, read off at the end of
-    every tie group.  The p-value uses the add-one convention over
-    :data:`N_PERMUTATIONS` relabellings, so its floor is
-    1/(N_PERMUTATIONS + 1).
+    D only moves at the ends of the G tie groups of the sorted pool, where
+    it is |K/n_a - (M - K)/n_b| with M the pooled and K the A count so far.
+    Uniform relabelling makes the group A counts multivariate
+    hypergeometric, so each of the :data:`N_PERMUTATIONS` relabellings is
+    one O(G) draw of them.  The p-value uses the add-one convention, so its
+    floor is 1/(N_PERMUTATIONS + 1).
     """
     a = _as_sample(a, "a")
     b = _as_sample(b, "b")
     n_a, n_b = a.size, b.size
     pool = np.concatenate([a, b])
     order = np.argsort(pool, kind="stable")
-    sorted_pool = pool[order]
     # Last index of every tie group: the CDF difference only matters there.
-    ends = np.nonzero(np.diff(sorted_pool))[0]
-    ends = np.concatenate([ends, [pool.size - 1]])
+    ends = np.append(np.nonzero(np.diff(pool[order]))[0], pool.size - 1)
     weights = np.concatenate(
         [np.full(n_a, 1.0 / n_a), np.full(n_b, -1.0 / n_b)])
     observed = float(np.max(np.abs(np.cumsum(weights[order])[ends])))
 
-    exceed = 0
-    remaining = N_PERMUTATIONS
-    chunk = max(1, min(N_PERMUTATIONS, 4_000_000 // pool.size))
-    while remaining > 0:
-        k = min(chunk, remaining)
-        rows = rng.permuted(np.tile(weights, (k, 1)), axis=1)
-        stats = np.max(np.abs(np.cumsum(rows, axis=1)[:, ends]), axis=1)
-        exceed += int(np.count_nonzero(stats >= observed - 1e-12))
-        remaining -= k
+    counts = rng.multivariate_hypergeometric(np.diff(ends, prepend=-1), n_a,
+                                             size=N_PERMUTATIONS)
+    k = np.cumsum(counts, axis=1)
+    stats = np.max(np.abs(k / n_a - (ends + 1 - k) / n_b), axis=1)
+    exceed = int(np.count_nonzero(stats >= observed - 1e-12))
     p = (1 + exceed) / (1 + N_PERMUTATIONS)
     return observed, float(p)
 

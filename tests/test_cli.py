@@ -14,7 +14,7 @@ import pytest
 
 from levyexc.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, EXIT_VERIFY_FAILED, main
 from levyexc.paths import path_from_dict
-from levyexc.trees import tree_from_dict
+from levyexc.trees import MAX_EXPORT_GENERATIONS, tree_from_dict
 
 
 def run_cli(capsys, *argv):
@@ -151,6 +151,18 @@ class TestTree:
         _, out_sim = run_cli(capsys, "simulate", "--kind", "tree",
                              "--n", "3", "--seed", "6")
         assert out_tree == out_sim
+
+    def test_too_deep_tree_exits_3_naming_its_depth(self, capsys):
+        # One critical tree at this seed is 726 generations deep, beyond the
+        # nested export's limit: no data, exit 3, and a message that names
+        # both numbers instead of the interpreter's recursion error.
+        code = main(["tree", "--model", "bd-critical", "--n", "400",
+                     "--seed", "3"])
+        captured = capsys.readouterr()
+        assert code == EXIT_RUNTIME
+        assert captured.out == ""
+        assert "tree has 726 generations" in captured.err
+        assert f"at most {MAX_EXPORT_GENERATIONS}" in captured.err
 
 
 class TestScaleFn:

@@ -11,6 +11,8 @@ Deaths: root 3, c1 3, c2 2.5, g 2.5.  Width: 1 on [0,1), 2 on [1,1.5),
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -19,11 +21,14 @@ from levyexc.models import ExponentialJumps
 from levyexc.paths import EventPath
 from levyexc.simulate import RngStream
 from levyexc.trees import (
+    MAX_EXPORT_GENERATIONS,
     SplittingTree,
     TreeNode,
     contour_width_identity,
     jccp,
     sample_tree,
+    tree_from_dict,
+    tree_to_dict,
     width_process,
 )
 
@@ -164,3 +169,27 @@ class TestLambertCorrespondence:
             counts.append(tree.size - 1)
         assert np.mean(lengths) == pytest.approx(2.0, abs=0.25)
         assert np.mean(counts) == pytest.approx(2.0, abs=0.3)
+
+
+def chain_tree(generations: int) -> SplittingTree:
+    """Each individual has one child, born halfway through its life."""
+    root = node = TreeNode(0.0, 1.0)
+    for _ in range(generations - 1):
+        child = TreeNode(node.birth_time + 0.5, 1.0)
+        node.children.append(child)
+        node = child
+    return SplittingTree(root)
+
+
+class TestSerialization:
+    def test_round_trip_at_the_generation_limit(self):
+        tree = chain_tree(MAX_EXPORT_GENERATIONS)
+        line = json.dumps(tree_to_dict(tree), sort_keys=True)
+        back = tree_from_dict(json.loads(line))
+        assert back.size == MAX_EXPORT_GENERATIONS
+        assert json.dumps(tree_to_dict(back), sort_keys=True) == line
+
+    def test_deeper_tree_is_refused(self):
+        with pytest.raises(RuntimeError,
+                           match=f"{MAX_EXPORT_GENERATIONS + 1} generations"):
+            tree_to_dict(chain_tree(MAX_EXPORT_GENERATIONS + 1))

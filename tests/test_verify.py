@@ -7,6 +7,7 @@ full-size runs live in the acceptance tests.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import replace
 from operator import methodcaller
@@ -20,6 +21,7 @@ from levyexc.paths import EventPath
 from levyexc.simulate import RngStream
 from levyexc.verify import (
     _FUNCTIONALS,
+    CALIBRATION_SEED,
     DEFAULT_SEED,
     DEFAULT_SUITE_SIZES,
     N_PERMUTATIONS,
@@ -118,6 +120,44 @@ class TestPermutationKs:
         assert p > PER_FUNCTIONAL_ALPHA
 
 
+def exact_permutation_p(a, b) -> float:
+    """Share of all C(n, n_a) labellings of the pool whose KS statistic
+    reaches the observed one, read from the empirical CDFs on the grid of
+    distinct values."""
+    pool = np.concatenate([a, b])
+    n_a, n_b = len(a), len(b)
+    below = pool[None, :] <= np.unique(pool)[:, None]  # (values, pool)
+    combos = list(itertools.combinations(range(pool.size), n_a))
+    labels = np.zeros((len(combos), pool.size), dtype=bool)
+    labels[np.repeat(np.arange(len(combos)), n_a), np.ravel(combos)] = True
+    in_a = labels.astype(int) @ below.T
+    in_b = (~labels).astype(int) @ below.T
+    d = np.max(np.abs(in_a / n_a - in_b / n_b), axis=1)
+    return float(np.mean(d >= ks_statistic(a, b) - 1e-12))
+
+
+def tied_case(i: int) -> tuple:
+    """Small samples on {0, 1, 2, 3}; odd cases shift half B up by one."""
+    g = RngStream(40).child("oracle", i).generator()
+    n_a, n_b = (int(v) for v in g.integers(2, 8, size=2))
+    a = g.integers(0, 3, n_a).astype(float)
+    b = g.integers(i % 2, 3 + i % 2, n_b).astype(float)
+    return a, b
+
+
+class TestPermutationOracle:
+    @pytest.mark.parametrize("case", range(20))
+    def test_p_matches_full_enumeration(self, case):
+        a, b = tied_case(case)
+        exact = exact_permutation_p(a, b)
+        d, p = permutation_ks(a, b, RngStream(41).child(case).generator())
+        assert d == pytest.approx(ks_statistic(a, b), abs=1e-12)
+        # The add-one estimate is (1 + X)/(1 + P) with X ~ Binomial(P,
+        # exact): 4 binomial standard errors, plus the add-one offset.
+        se = np.sqrt(exact * (1.0 - exact) / N_PERMUTATIONS)
+        assert abs(p - exact) <= 4.0 * se + 1.0 / (N_PERMUTATIONS + 1)
+
+
 class TestNullCalibration:
     def test_rate_in_band_at_acceptance_settings(self):
         # Band around the nominal 0.05 at 1000 repetitions, shipped seed.
@@ -128,6 +168,19 @@ class TestNullCalibration:
         r1 = ks_null_calibration(n=200, repetitions=50, seed=3)
         r2 = ks_null_calibration(n=200, repetitions=50, seed=3)
         assert r1 == r2
+
+    def test_permutation_rate_in_band(self):
+        # The same band for permutation KS on heavily tied integer halves:
+        # 1000 null replications of two Poisson(3) halves at n = 500.
+        stream = RngStream(CALIBRATION_SEED).child("verify",
+                                                   "perm_calibration")
+        rejections = 0
+        for i in range(1000):
+            g = stream.child(i).generator()
+            x = g.poisson(3.0, 1000).astype(float)
+            _, p = permutation_ks(x[:500], x[500:], g)
+            rejections += p <= 0.05
+        assert 0.035 <= rejections / 1000 <= 0.065
 
 
 class TestFunctionalByName:
