@@ -16,6 +16,12 @@ For an excursion ``e`` above the infimum (starts with an upward jump from
 * :func:`pointwise_reflection` maps ``e`` to ``s -> peak - e(s)``,
   turning descent into ascent and upward jumps into downward ones.
 
+The cut pieces, the rotated halves of the swap and the pointwise
+reflection are slices or sign flips of a path in normal form, so they are
+built with the trusted constructor; only the final regluing in
+:func:`supremum_swap` goes through :func:`~levyexc.paths.concat`, which
+validates.
+
 Local time here is the exact crossing count of the piecewise-linear
 motion: a segment descending from ``a`` to ``b`` crosses every level in
 ``(b, a]``, an ascending one every level in ``[a, b)``; jumps cross
@@ -26,6 +32,8 @@ them into occupation densities.
 """
 
 from __future__ import annotations
+
+import math
 
 from levyexc.paths import EventPath, concat
 
@@ -69,13 +77,13 @@ def pre_sup(path: EventPath) -> EventPath:
     (always, for downward-drifting paths); the cut keeps that jump.
     """
     head, _, _ = _cut(path)
-    return EventPath(path.x0, path.initial_jump, head)
+    return EventPath._trusted(path.x0, path.initial_jump, head)
 
 
 def post_sup(path: EventPath) -> EventPath:
     """The path after the argmax time, recentred to start at 0 from the supremum."""
     _, tail, _ = _cut(path)
-    return EventPath(0.0, 0.0, tail)
+    return EventPath._trusted(0.0, 0.0, tail)
 
 
 def supremum_swap(path: EventPath) -> EventPath:
@@ -87,8 +95,8 @@ def supremum_swap(path: EventPath) -> EventPath:
     takes over.  Applying the map twice gives back the original path.
     """
     head, tail, peak = _cut(path)
-    left = EventPath(path.x0, path.initial_jump, head).rotate()
-    right = EventPath(0.0, 0.0, tail).rotate().translate(peak)
+    left = EventPath._trusted(path.x0, path.initial_jump, head).rotate()
+    right = EventPath._trusted(0.0, 0.0, tail).rotate().translate(peak)
     return concat(left, right)
 
 
@@ -98,9 +106,11 @@ def pointwise_reflection(path: EventPath) -> EventPath:
     Slopes and jumps change sign; the result ascends between downward
     jumps, starts at ``peak - path(0)`` and ends at ``peak - end value``.
     """
-    peak = peak_value(path)
+    x0 = peak_value(path) - path.x0
+    if not math.isfinite(x0):
+        raise ValueError("non-finite x0 or initial_jump")
     segs = tuple((dur, -slope, -jump) for dur, slope, jump in path.segments)
-    return EventPath(peak - path.x0, -path.initial_jump, segs)
+    return EventPath._trusted(x0, -path.initial_jump, segs)
 
 
 # -- crossing local time -------------------------------------------------------

@@ -17,6 +17,21 @@ Conventions shared by all operations:
   the initial jump and the final jump trade places, the jump multiset and
   all segment durations/slopes are preserved exactly, and rotating twice
   reproduces any path whose pre-start value is 0.
+
+Normal form.  Every ``EventPath`` holds its fields in normal form: ``x0``
+and ``initial_jump`` are finite floats, and ``segments`` is a tuple of
+finite-float triples in which every duration is > 0 and no neighbour pair
+is one that :func:`_normalize` would merge (an end jump of exactly 0 before
+a slope within ``MERGE_TOL``).  ``EventPath(...)`` validates and normalises
+its arguments; it is the constructor for all outside input (JSON through
+:func:`path_from_dict`, user code) and for :func:`concat`, which can create
+mergeable neighbours.  The private ``EventPath._trusted`` stores fields
+without that pass, for producers whose output is in normal form by
+construction: ``rotate`` and ``translate`` here, the supremum cut, swap
+pieces and pointwise reflection in :mod:`levyexc.excursions`, and the
+kernel outputs of the samplers in :mod:`levyexc.simulate` (which route a
+draw that breaks the form, such as a wait of exactly 0, through
+validation).
 """
 
 from __future__ import annotations
@@ -24,7 +39,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property
 
 # Absolute tolerance for merging adjacent equal-slope segments and for
 # dropping numerically-zero junction jumps in concat().
@@ -58,6 +72,26 @@ def _normalize(segments) -> tuple[Segment, ...]:
     return tuple((d, s, j) for d, s, j in out)
 
 
+class _cached:
+    """``functools.cached_property`` without its lock.
+
+    On Python 3.11 ``cached_property`` takes an RLock on every first
+    access.  The cached tables are pure functions of immutable fields, so
+    two threads racing on a first access at worst compute one twice.
+    """
+
+    def __init__(self, func):
+        self.func = func
+        self.name = func.__name__
+        self.__doc__ = func.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
+
+
 @dataclass(frozen=True)
 class EventPath:
     """Exact piecewise-linear cadlag path.
@@ -84,9 +118,26 @@ class EventPath:
         object.__setattr__(self, "initial_jump", float(self.initial_jump))
         object.__setattr__(self, "segments", _normalize(self.segments))
 
+    @classmethod
+    def _trusted(cls, x0: float, initial_jump: float,
+                 segments: tuple[Segment, ...]) -> "EventPath":
+        """Build from fields already in normal form, without validation.
+
+        The caller guarantees what ``__post_init__`` establishes (see the
+        module docstring): finite float ``x0`` and ``initial_jump``, and a
+        tuple of finite-float segments with durations > 0 and no neighbour
+        pair that :func:`_normalize` would merge.
+        """
+        p = object.__new__(cls)
+        d = p.__dict__
+        d["x0"] = x0
+        d["initial_jump"] = initial_jump
+        d["segments"] = segments
+        return p
+
     # -- derived tables -------------------------------------------------
 
-    @cached_property
+    @_cached
     def _times(self) -> tuple[float, ...]:
         """Cumulative segment end times t_1 <= ... <= t_n."""
         times, t = [], 0.0
@@ -95,7 +146,7 @@ class EventPath:
             times.append(t)
         return tuple(times)
 
-    @cached_property
+    @_cached
     def _starts(self) -> tuple[float, ...]:
         """Value at the start of each segment (post-jump)."""
         starts, v = [], self.x0
@@ -153,7 +204,10 @@ class EventPath:
 
     def translate(self, dy: float) -> "EventPath":
         """Vertical translation by dy."""
-        return EventPath(self.x0 + dy, self.initial_jump, self.segments)
+        x0 = self.x0 + dy
+        if not math.isfinite(x0):
+            raise ValueError("non-finite x0 or initial_jump")
+        return EventPath._trusted(float(x0), self.initial_jump, self.segments)
 
     def rotate(self) -> "EventPath":
         """Space-time reversal q(t) = p(V) - p((V - t)-).
@@ -164,17 +218,20 @@ class EventPath:
         pre-start value.  Durations, slopes and the jump multiset are
         preserved exactly; rotating twice reproduces any path with pre-start
         value 0.
+
+        Each output neighbour pair carries the same durations, slopes and
+        separating jump as an input pair, so the output is in normal form.
         """
         segs = self.segments
         if not segs:
-            return EventPath(self.initial_jump, self.initial_jump, ())
+            return EventPath._trusted(self.initial_jump, self.initial_jump, ())
         last_jump = segs[-1][2]
         out: list[Segment] = []
         for i in range(len(segs) - 1, -1, -1):
             dur, slope, _ = segs[i]
             jump_after = segs[i - 1][2] if i > 0 else self.initial_jump
             out.append((dur, slope, jump_after))
-        return EventPath(last_jump, last_jump, tuple(out))
+        return EventPath._trusted(last_jump, last_jump, tuple(out))
 
     # -- extrema ----------------------------------------------------------
 
@@ -243,13 +300,6 @@ class EventPath:
     def max_jump(self) -> float:
         js = self.jumps()
         return max(js) if js else 0.0
-
-    def total_variation(self) -> float:
-        """Total variation on [0, lifetime], the time-0 jump included."""
-        tv = abs(self.initial_jump)
-        for dur, slope, jump in self.segments:
-            tv += abs(slope) * dur + abs(jump)
-        return tv
 
 
 def concat(p1: EventPath, p2: EventPath) -> EventPath:

@@ -60,6 +60,7 @@ from levyexc.simulate import RngStream
 __all__ = [
     "local_time_field",
     "MomentCheck",
+    "moment_check",
     "feller_moment_check",
 ]
 
@@ -174,6 +175,22 @@ def feller_moment_check(target: float = 1.0, levels=(0.1, 0.2),
     """
     field = local_time_field(target, levels, n_paths, h, delta, cap=cap,
                              seed=seed, max_time=max_time)
+    return moment_check(field, target, levels, h, delta,
+                        mean_tolerance=mean_tolerance,
+                        var_tolerance=var_tolerance)
+
+
+def moment_check(field: np.ndarray, target: float, levels, h: float,
+                 delta: float, mean_tolerance: float = 0.05,
+                 var_tolerance: float = 0.10) -> MomentCheck:
+    """The verdict of :func:`feller_moment_check` on a simulated field.
+
+    ``field`` is the ``(n_paths, len(levels))`` result of
+    :func:`local_time_field` run with ``target``, ``levels``, ``h`` and
+    ``delta``; the empirical mean and variance per level are compared with
+    the branching-diffusion values within the given relative tolerances.
+    """
+    n_paths = field.shape[0]
     means = field.mean(axis=0)
     variances = field.var(axis=0, ddof=1)
     exp_means = np.full(len(levels), float(target))

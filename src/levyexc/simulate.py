@@ -161,7 +161,7 @@ def _drift_jump(model: LevyModel, v: float, floor: float, ceiling: float,
     a jump that hits the ceiling is not.  Raises ``RuntimeError`` when
     :data:`DEFAULT_MAX_EVENTS` waits pass without a stop.
     """
-    d = model.drift
+    d = float(model.drift)
     b = model.jumps.mass
     draw_jump = model.jumps.sample
     mean_wait = 1.0 / b if b > 0.0 else 0.0
@@ -195,6 +195,24 @@ def _drift_jump(model: LevyModel, v: float, floor: float, ceiling: float,
     raise RuntimeError(f"no stop within {DEFAULT_MAX_EVENTS} events")
 
 
+def _kernel_path(x0: float, initial_jump: float, segs: list) -> EventPath:
+    """The path of a kernel run, trusted when its segments are in normal form.
+
+    Kernel segments share the slope ``-d`` and hold float waits, jumps and
+    stop durations, so the normal form breaks only on a zero duration (a
+    zero horizon, a start on the floor, a wait of exactly 0.0), on a zero
+    end jump before the last segment (a jump draw that underflows to 0.0),
+    or on a non-finite value.  Those runs take the validating constructor,
+    which folds them exactly as it folds outside input.
+    """
+    if segs:
+        durs, _, jumps = zip(*segs)
+        if (min(durs) > 0.0 and 0.0 not in jumps[:-1] and math.isfinite(
+                x0 + initial_jump + sum(durs) + sum(jumps))):
+            return EventPath._trusted(x0, initial_jump, tuple(segs))
+    return EventPath(x0, initial_jump, tuple(segs))
+
+
 def sample_path_fv(model: LevyModel, x0: float, stop: StopRule,
                    rng: np.random.Generator) -> EventPath:
     """Exact path of a finite-variation model from ``x0`` until ``stop``.
@@ -202,18 +220,26 @@ def sample_path_fv(model: LevyModel, x0: float, stop: StopRule,
     The path drifts at slope ``-d`` and jumps upward at rate ``b``; all
     event times and values are exact up to float rounding.  Raises
     ``RuntimeError`` if :data:`DEFAULT_MAX_EVENTS` jumps occur before the
-    stop rule fires.
+    stop rule fires.  ``x0``, a horizon time and a first-passage level must
+    be finite (a NaN or infinite one would never stop the kernel).
     """
     _check_exact(model)
+    x0 = float(x0)
+    if not math.isfinite(x0):
+        raise ValueError("x0 must be finite")
     floor, horizon, excursions = -math.inf, math.inf, 0
     if isinstance(stop, Horizon):
-        if stop.time < 0.0:
+        horizon = float(stop.time)
+        if not math.isfinite(horizon):
+            raise ValueError("horizon must be finite")
+        if horizon < 0.0:
             raise ValueError("horizon must be >= 0")
-        horizon = stop.time
     elif isinstance(stop, FirstPassage):
-        if stop.level > x0:
+        floor = float(stop.level)
+        if not math.isfinite(floor):
+            raise ValueError("first-passage level must be finite")
+        if floor > x0:
             raise ValueError("first-passage level must be <= x0")
-        floor = stop.level
     else:  # ExcursionCount
         if stop.count < 1:
             raise ValueError("excursion count must be >= 1")
@@ -221,9 +247,8 @@ def sample_path_fv(model: LevyModel, x0: float, stop: StopRule,
             raise ValueError("excursions need jumps")
         excursions = stop.count
     segs: list[Segment] = []
-    _drift_jump(model, float(x0), floor, math.inf, horizon, excursions, segs,
-                rng)
-    return EventPath(x0, 0.0, tuple(segs))
+    _drift_jump(model, x0, floor, math.inf, horizon, excursions, segs, rng)
+    return _kernel_path(x0, 0.0, segs)
 
 
 # -- excursion extraction ------------------------------------------------------
@@ -426,7 +451,7 @@ def sample_excursions(model: LevyModel, n: int, rng: np.random.Generator,
         j = float(model.jumps.sample(rng))
         segs: list[Segment] = []
         _drift_jump(model, j, 0.0, math.inf, math.inf, 0, segs, rng)
-        exc = EventPath(j, j, tuple(segs))
+        exc = _kernel_path(j, j, segs)
         if condition.check(exc):
             out.append(exc)
     if len(out) < n:
@@ -460,7 +485,7 @@ def sample_killed_sup_excursions(model: LevyModel, n: int, depth: float,
             break
         segs: list[Segment] = []
         if _drift_jump(model, 0.0, -depth, 0.0, math.inf, 0, segs, rng):
-            out.append(EventPath(0.0, 0.0, tuple(segs)))
+            out.append(_kernel_path(0.0, 0.0, segs))
     if len(out) < n:
         raise RuntimeError(
             f"only {len(out)}/{n} excursions reached depth {depth} in "

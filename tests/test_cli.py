@@ -12,6 +12,7 @@ import math
 
 import pytest
 
+from levyexc import simulate
 from levyexc.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, EXIT_VERIFY_FAILED, main
 from levyexc.paths import path_from_dict
 from levyexc.trees import MAX_EXPORT_GENERATIONS, tree_from_dict
@@ -91,6 +92,22 @@ class TestSimulate:
         assert code == EXIT_USAGE
         code, _ = run_cli(capsys, "simulate", "--stop", "horizon")
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("argv", [
+        ("--stop", "horizon:nan"),
+        ("--stop", "horizon:inf"),
+        ("--stop", "first-passage:nan"),
+        ("--x0", "nan", "--stop", "first-passage:-1"),
+    ])
+    def test_non_finite_stop_exits_2_before_sampling(self, capsys,
+                                                     monkeypatch, argv):
+        # A non-finite start or stop level never stops the kernel; with the
+        # event cap lowered, a run that reached the kernel would exit 3 at
+        # once instead of burning the full cap.
+        monkeypatch.setattr(simulate, "DEFAULT_MAX_EVENTS", 1000)
+        code, out = run_cli(capsys, "simulate", "--n", "1", *argv)
+        assert code == EXIT_USAGE
+        assert out == ""
 
     def test_conflicting_conditions_exit_2(self, capsys):
         code, _ = run_cli(capsys, "simulate", "--kind", "excursion",

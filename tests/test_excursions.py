@@ -25,7 +25,16 @@ from levyexc.excursions import (
 )
 from levyexc.models import ExponentialJumps, LevyModel
 from levyexc.paths import EventPath, concat
-from levyexc.simulate import RngStream, sample_excursions
+from levyexc.simulate import (
+    ExcursionCount,
+    FirstPassage,
+    HeightAtLeast,
+    Horizon,
+    RngStream,
+    sample_excursions,
+    sample_killed_sup_excursions,
+    sample_path_fv,
+)
 
 EXC = EventPath(1.0, 1.0, ((0.5, -1.0, 2.0), (2.5, -1.0, 0.0)))
 MODEL = LevyModel.from_drift(1.0, ExponentialJumps(1.0, 2.0))
@@ -135,6 +144,102 @@ def test_swap_preserves_pathwise_invariants(e):
     assert peak_value(s) == peak_value(e)
     assert argmax_time(s) == argmax_time(e)
     assert sorted(s.jumps()) == sorted(e.jumps())
+
+
+def _typed_fields(p):
+    scalars = (p.x0, p.initial_jump)
+    return (tuple((type(v), repr(v)) for v in scalars), type(p.segments),
+            tuple((type(seg), tuple((type(v), repr(v)) for v in seg))
+                  for seg in p.segments))
+
+
+def assert_normal_form(p):
+    """``p`` equals its validated form, field for field and type for type.
+
+    Producers that skip validation must emit exactly what
+    ``EventPath(...)`` would have built from the same fields.
+    """
+    assert _typed_fields(p) == _typed_fields(
+        EventPath(p.x0, p.initial_jump, p.segments))
+
+
+@settings(derandomize=True, deadline=None)
+@given(excursion_paths(), st.integers(-8, 8))
+# an interior zero jump between different slopes: a neighbour pair that
+# must stay unmerged through rotation and reflection
+@example(EventPath(2.0, 2.0, ((0.5, -1.0, 0.0), (0.25, -2.0, 1.0),
+                              (1.0, -2.0, 0.0))), 3)
+def test_transforms_emit_normal_form(e, k):
+    for p in (e.rotate(), e.translate(k * STEP), pre_sup(e), post_sup(e),
+              supremum_swap(e), pointwise_reflection(e)):
+        assert_normal_form(p)
+
+
+def test_sampled_paths_are_in_normal_form():
+    stream = RngStream(2024).child("normal-form")
+    paths = [sample_path_fv(MODEL, 0.0, stop,
+                            stream.child("fv", i, k).generator())
+             for i, stop in enumerate((Horizon(3.0), FirstPassage(-2.0),
+                                       ExcursionCount(3)))
+             for k in range(40)]
+    paths += sample_excursions(MODEL, 200, stream.child("any").generator())
+    paths += sample_excursions(MODEL, 40, stream.child("high").generator(),
+                               HeightAtLeast(1.0))
+    paths += sample_killed_sup_excursions(MODEL, 40, 0.5,
+                                          stream.child("killed").generator())
+    for p in paths:
+        assert_normal_form(p)
+    # a zero horizon and a start on the passage level stop at once
+    for stop in (Horizon(0.0), FirstPassage(1.5)):
+        p = sample_path_fv(MODEL, 1.5, stop, stream.child("now").generator())
+        assert p == EventPath(1.5, 0.0, ())
+        assert_normal_form(p)
+
+
+class _ScriptedRng:
+    """Generator stand-in whose exponential draws (waits and, for
+    exponential jump laws, jump sizes) come from a script, in order."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def exponential(self, scale=1.0, size=None):
+        return self.values.pop(0)
+
+
+class TestDegenerateKernelDraws:
+    """Draws that break the normal form are folded as validation folds them."""
+
+    @pytest.mark.parametrize("script, raw", [
+        # (wait, jump) pairs then a closing wait: a wait of exactly 0.0 ...
+        ([0.3, 1.0, 0.0, 0.5, 10.0],
+         ((0.3, -1.0, 1.0), (0.0, -1.0, 0.5), (4.7, -1.0, 0.0))),
+        # ... and a jump draw that underflows to 0.0
+        ([0.25, 0.0, 0.25, 1.0, 10.0],
+         ((0.25, -1.0, 0.0), (0.25, -1.0, 1.0), (4.5, -1.0, 0.0))),
+    ])
+    def test_path(self, script, raw):
+        p = sample_path_fv(MODEL, 0.0, Horizon(5.0), _ScriptedRng(script))
+        assert p == EventPath(0.0, 0.0, raw)
+        assert len(p.segments) == 2
+        assert_normal_form(p)
+
+    def test_excursion(self):
+        # opening jump 1, then waits/jumps (0.25, 0.5), (0.0, 0.5), closing
+        script = [1.0, 0.25, 0.5, 0.0, 0.5, 10.0]
+        (e,) = sample_excursions(MODEL, 1, _ScriptedRng(script))
+        assert e == EventPath(1.0, 1.0, ((0.25, -1.0, 0.5), (0.0, -1.0, 0.5),
+                                         (1.75, -1.0, 0.0)))
+        assert len(e.segments) == 2
+        assert_normal_form(e)
+
+    def test_killed_sup_excursion(self):
+        script = [0.25, 0.125, 0.0, 0.0625, 10.0]
+        (e,) = sample_killed_sup_excursions(MODEL, 1, 1.0,
+                                            _ScriptedRng(script))
+        assert len(e.segments) == 2
+        assert e.end_value() == -1.0
+        assert_normal_form(e)
 
 
 class TestSupremumSwap:

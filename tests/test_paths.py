@@ -140,10 +140,9 @@ class TestRotation:
             p = random_fv_path(rng, int(rng.integers(1, 12)))
             q = p.rotate()
             assert sorted(q.jumps()) == sorted(p.jumps())
-            assert sorted(d for d, _, _ in q.segments) == \
-                   sorted(d for d, _, _ in p.segments)
+            assert sorted((d, s) for d, s, _ in q.segments) == \
+                   sorted((d, s) for d, s, _ in p.segments)
             assert q.lifetime == pytest.approx(p.lifetime, rel=1e-12)
-            assert q.total_variation() == pytest.approx(p.total_variation(), rel=1e-12)
             assert (q.sup() - q.inf()) == pytest.approx(p.sup() - p.inf(), rel=1e-12)
             assert q.rotate() == p
 
@@ -191,8 +190,6 @@ class TestExtremaAndFunctionals:
         assert WORKED.jumps() == (1.0, 2.0)
         assert WORKED.jump_count() == 2
         assert WORKED.max_jump() == 2.0
-        # |1| + 0.5 + |2| + 2.5 = 6.
-        assert WORKED.total_variation() == 6.0
 
 
 class TestConcat:

@@ -11,7 +11,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from levyexc.rayknight import MomentCheck, feller_moment_check, local_time_field
+from levyexc.rayknight import (
+    MomentCheck,
+    feller_moment_check,
+    local_time_field,
+    moment_check,
+)
 
 
 class TestLocalTimeField:
@@ -94,12 +99,16 @@ class TestFellerMomentCheck:
         assert all(err < 0.30 for err in chk.var_rel_errors)
 
     def test_passed_reflects_tolerances(self):
-        chk = feller_moment_check(n_paths=400, seed=7,
-                                  mean_tolerance=1.0, var_tolerance=1.0)
+        # the field feller_moment_check(n_paths=400, seed=7) simulates,
+        # judged once at loose and once at strict tolerances
+        field = local_time_field(1.0, (0.1, 0.2), n_paths=400, h=1e-4,
+                                 delta=0.04, seed=7)
+        chk = moment_check(field, 1.0, (0.1, 0.2), 1e-4, 0.04,
+                           mean_tolerance=1.0, var_tolerance=1.0)
         assert chk.passed
-        strict = feller_moment_check(n_paths=400, seed=7,
-                                     mean_tolerance=1e-12,
-                                     var_tolerance=1e-12)
+        assert chk.n_paths == 400
+        strict = moment_check(field, 1.0, (0.1, 0.2), 1e-4, 0.04,
+                              mean_tolerance=1e-12, var_tolerance=1e-12)
         assert not strict.passed
 
     def test_records_settings(self):
