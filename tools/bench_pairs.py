@@ -17,7 +17,10 @@ per side per pair, alternating which side goes first, and writes:
 - the interpreter, numpy and scipy versions and the core count.
 
 Each side runs the benchmark code of its own checkout.  Run a single pair
-per seed (``--pairs 1``) to compare digests and failures only.
+per seed (``--pairs 1``) to compare digests and failures only.  When
+``--out`` exists and was written for the same parent, change and
+environment, the new results are appended to it, so one file can hold
+runs of different sizes and trace settings.
 """
 
 from __future__ import annotations
@@ -128,14 +131,21 @@ def main(argv=None) -> int:
     doc = {
         "parent": _git("rev-parse", args.parent),
         "change": _git("rev-parse", "HEAD"),
-        "change_dirty": bool(_git("status", "--porcelain", "--untracked-files=no")),
+        "change_dirty": bool(_git("status", "--porcelain",
+                                  "--untracked-files=no")),
         "env": {"python": platform.python_version(),
                 "numpy": numpy.__version__, "scipy": scipy.__version__,
                 "nproc": len(os.sched_getaffinity(0))},
-        "seconds": seconds,
-        "trace": args.trace,
         "results": [],
     }
+    out = Path(args.out)
+    if out.exists():
+        old = json.loads(out.read_text())
+        if any(old[k] != doc[k]
+               for k in ("parent", "change", "change_dirty", "env")):
+            parser.error(f"{out} holds runs of another parent, change or "
+                         "environment")
+        doc["results"] = old["results"]
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         parent_root = Path(tmp) / "parent"
         _git("worktree", "add", "--detach", str(parent_root), args.parent)
@@ -157,6 +167,8 @@ def main(argv=None) -> int:
                     doc["results"].append({
                         "workload": workload,
                         "seed": seed,
+                        "seconds": seconds,
+                        "trace": args.trace,
                         "first": ["parent" if i % 2 == 0 else "change"
                                   for i in range(args.pairs)],
                         "runs": runs,
@@ -173,7 +185,7 @@ def main(argv=None) -> int:
                                           for r in runs[side]})
                             for side in runs},
                     })
-                    Path(args.out).write_text(
+                    out.write_text(
                         json.dumps(doc, indent=1, sort_keys=True) + "\n")
         finally:
             _git("worktree", "remove", "--force", str(parent_root))
