@@ -161,7 +161,7 @@ def _drift_jump(model: LevyModel, v: float, floor: float, ceiling: float,
     a jump that hits the ceiling is not.  Raises ``RuntimeError`` when
     :data:`DEFAULT_MAX_EVENTS` waits pass without a stop.
     """
-    d = float(model.drift)
+    d = float(model.drift)  # float segments, as the normal form stores them
     b = model.jumps.mass
     draw_jump = model.jumps.sample
     mean_wait = 1.0 / b if b > 0.0 else 0.0

@@ -151,12 +151,18 @@ def main(argv=None) -> int:
         _git("worktree", "add", "--detach", str(parent_root), args.parent)
         try:
             roots = {"parent": parent_root, "change": ROOT}
+            pair_count = 0
             for workload in args.workloads.split(","):
                 for seed in (int(s) for s in args.seeds.split(",")):
                     runs = {"parent": [], "change": []}
+                    first = []
                     for i in range(args.pairs):
-                        order = (("parent", "change") if i % 2 == 0
+                        # alternate over every pair of the invocation, so
+                        # that single-pair sweeps alternate too
+                        order = (("parent", "change") if pair_count % 2 == 0
                                  else ("change", "parent"))
+                        pair_count += 1
+                        first.append(order[0])
                         for side in order:
                             r = run_bench(roots[side], workload, seed,
                                           seconds, args.trace)
@@ -169,8 +175,7 @@ def main(argv=None) -> int:
                         "seed": seed,
                         "seconds": seconds,
                         "trace": args.trace,
-                        "first": ["parent" if i % 2 == 0 else "change"
-                                  for i in range(args.pairs)],
+                        "first": first,
                         "runs": runs,
                         "summary": {
                             name: summarize(
