@@ -16,9 +16,8 @@ For an excursion ``e`` above the infimum (starts with an upward jump from
 * :func:`pointwise_reflection` maps ``e`` to ``s -> peak - e(s)``,
   turning descent into ascent and upward jumps into downward ones.
 
-The cut pieces, the rotated halves of the swap and the pointwise
-reflection are slices or sign flips of a path in normal form, so they are
-built with the trusted constructor; only the final regluing in
+The pieces these transforms build skip validation as the
+:mod:`levyexc.paths` docstring describes; the final regluing in
 :func:`supremum_swap` goes through :func:`~levyexc.paths.concat`, which
 validates.
 

@@ -24,14 +24,25 @@ finite-float triples in which every duration is > 0 and no neighbour pair
 is one that :func:`_normalize` would merge (an end jump of exactly 0 before
 a slope within ``MERGE_TOL``).  ``EventPath(...)`` validates and normalises
 its arguments; it is the constructor for all outside input (JSON through
-:func:`path_from_dict`, user code) and for :func:`concat`, which can create
-mergeable neighbours.  The private ``EventPath._trusted`` stores fields
-without that pass, for producers whose output is in normal form by
-construction: ``rotate`` and ``translate`` here, the supremum cut, swap
-pieces and pointwise reflection in :mod:`levyexc.excursions`, and the
-kernel outputs of the samplers in :mod:`levyexc.simulate` (which route a
-draw that breaks the form, such as a wait of exactly 0, through
-validation).
+:func:`path_from_dict`, user code), for :func:`concat`, which can create
+mergeable neighbours, and for the ``extract_*`` helpers, whose cut at a
+passage can leave a zero duration.  Two private constructors skip that
+pass, and this is the one list of the producers that use them:
+
+* ``EventPath._trusted`` stores fields that are in normal form by
+  construction: ``rotate`` and ``translate`` here (they keep every
+  duration, slope and jump), and :func:`~levyexc.excursions.pre_sup`,
+  :func:`~levyexc.excursions.post_sup`, the two rotated halves inside
+  :func:`~levyexc.excursions.supremum_swap` and
+  :func:`~levyexc.excursions.pointwise_reflection` (slices and sign flips
+  of a path in normal form);
+* ``EventPath._from_run`` takes a run of float segments as the
+  drift-then-jump kernel of :mod:`levyexc.simulate` writes it (the outputs
+  of ``sample_path_fv``, ``sample_excursions`` and
+  ``sample_killed_sup_excursions``).  It checks the run and sends one that
+  breaks the form (a zero horizon, a start on the passage level, a wait or
+  a jump of exactly 0.0) through validation, so every output is what
+  validation builds.
 """
 
 from __future__ import annotations
@@ -39,6 +50,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 
 # Absolute tolerance for merging adjacent equal-slope segments and for
 # dropping numerically-zero junction jumps in concat().
@@ -70,26 +82,6 @@ def _normalize(segments) -> tuple[Segment, ...]:
         else:
             out.append([dur, slope, jump])
     return tuple((d, s, j) for d, s, j in out)
-
-
-class _cached:
-    """``functools.cached_property`` without its lock.
-
-    On Python 3.11 ``cached_property`` takes an RLock on every first
-    access.  The cached tables are pure functions of immutable fields, so
-    two threads racing on a first access at worst compute one twice.
-    """
-
-    def __init__(self, func):
-        self.func = func
-        self.name = func.__name__
-        self.__doc__ = func.__doc__
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.func(obj)
-        return value
 
 
 @dataclass(frozen=True)
@@ -135,9 +127,27 @@ class EventPath:
         d["segments"] = segments
         return p
 
+    @classmethod
+    def _from_run(cls, x0: float, initial_jump: float,
+                  segments: list[Segment]) -> "EventPath":
+        """Build from float fields, validating only a run that needs it.
+
+        A run whose durations are all > 0, whose end jumps before the last
+        segment are all nonzero and whose values are all finite is in
+        normal form whatever its slopes: :func:`_normalize` merges only
+        across an end jump of exactly 0.  Such a run is stored as it is;
+        any other run goes through ``EventPath(...)``, which folds it.
+        """
+        if segments:
+            durs, slopes, jumps = zip(*segments)
+            if (min(durs) > 0.0 and 0.0 not in jumps[:-1] and math.isfinite(
+                    x0 + initial_jump + sum(durs) + sum(slopes) + sum(jumps))):
+                return cls._trusted(x0, initial_jump, tuple(segments))
+        return cls(x0, initial_jump, tuple(segments))
+
     # -- derived tables -------------------------------------------------
 
-    @_cached
+    @cached_property
     def _times(self) -> tuple[float, ...]:
         """Cumulative segment end times t_1 <= ... <= t_n."""
         times, t = [], 0.0
@@ -146,7 +156,7 @@ class EventPath:
             times.append(t)
         return tuple(times)
 
-    @_cached
+    @cached_property
     def _starts(self) -> tuple[float, ...]:
         """Value at the start of each segment (post-jump)."""
         starts, v = [], self.x0

@@ -195,24 +195,6 @@ def _drift_jump(model: LevyModel, v: float, floor: float, ceiling: float,
     raise RuntimeError(f"no stop within {DEFAULT_MAX_EVENTS} events")
 
 
-def _kernel_path(x0: float, initial_jump: float, segs: list) -> EventPath:
-    """The path of a kernel run, trusted when its segments are in normal form.
-
-    Kernel segments share the slope ``-d`` and hold float waits, jumps and
-    stop durations, so the normal form breaks only on a zero duration (a
-    zero horizon, a start on the floor, a wait of exactly 0.0), on a zero
-    end jump before the last segment (a jump draw that underflows to 0.0),
-    or on a non-finite value.  Those runs take the validating constructor,
-    which folds them exactly as it folds outside input.
-    """
-    if segs:
-        durs, _, jumps = zip(*segs)
-        if (min(durs) > 0.0 and 0.0 not in jumps[:-1] and math.isfinite(
-                x0 + initial_jump + sum(durs) + sum(jumps))):
-            return EventPath._trusted(x0, initial_jump, tuple(segs))
-    return EventPath(x0, initial_jump, tuple(segs))
-
-
 def sample_path_fv(model: LevyModel, x0: float, stop: StopRule,
                    rng: np.random.Generator) -> EventPath:
     """Exact path of a finite-variation model from ``x0`` until ``stop``.
@@ -248,7 +230,7 @@ def sample_path_fv(model: LevyModel, x0: float, stop: StopRule,
         excursions = stop.count
     segs: list[Segment] = []
     _drift_jump(model, x0, floor, math.inf, horizon, excursions, segs, rng)
-    return _kernel_path(x0, 0.0, segs)
+    return EventPath._from_run(x0, 0.0, segs)
 
 
 # -- excursion extraction ------------------------------------------------------
@@ -451,7 +433,7 @@ def sample_excursions(model: LevyModel, n: int, rng: np.random.Generator,
         j = float(model.jumps.sample(rng))
         segs: list[Segment] = []
         _drift_jump(model, j, 0.0, math.inf, math.inf, 0, segs, rng)
-        exc = _kernel_path(j, j, segs)
+        exc = EventPath._from_run(j, j, segs)
         if condition.check(exc):
             out.append(exc)
     if len(out) < n:
@@ -485,7 +467,7 @@ def sample_killed_sup_excursions(model: LevyModel, n: int, depth: float,
             break
         segs: list[Segment] = []
         if _drift_jump(model, 0.0, -depth, 0.0, math.inf, 0, segs, rng):
-            out.append(_kernel_path(0.0, 0.0, segs))
+            out.append(EventPath._from_run(0.0, 0.0, segs))
     if len(out) < n:
         raise RuntimeError(
             f"only {len(out)}/{n} excursions reached depth {depth} in "

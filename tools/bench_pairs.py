@@ -6,7 +6,8 @@
 Run from the root of a git checkout: that checkout is the change side.  The
 parent ref is checked out into a temporary ``git worktree`` that is removed
 on exit.  For every workload and seed the script runs ``bench/run.py`` once
-per side per pair, alternating which side goes first, and writes:
+per side per pair at the benchmark's ``run_seconds``, alternating which side
+goes first, and writes:
 
 - the per-pair end-to-end metric values of each side;
 - per metric, each side's median and quartiles, the change's wins, losses
@@ -115,14 +116,12 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", required=True,
                         help="comma-separated workload seeds")
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float,
-                        help="run budget (default: BENCHMARK.json run_seconds)")
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--out", required=True, help="JSON file to write")
     args = parser.parse_args(argv)
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    seconds = args.seconds or spec["run_seconds"]
+    seconds = spec["run_seconds"]
     better = {m["name"]: m["better"]
               for m in spec["per_layer" if args.trace else "end_to_end"]}
     import numpy
