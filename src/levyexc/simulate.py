@@ -386,6 +386,10 @@ class LifetimeAtLeast:
 
     min_lifetime: float
 
+    def __post_init__(self):
+        if not math.isfinite(self.min_lifetime):
+            raise ValueError("min_lifetime must be finite")
+
     def check(self, path: EventPath) -> bool:
         return path.lifetime >= self.min_lifetime
 
@@ -395,6 +399,10 @@ class HeightAtLeast:
     """Condition on the excursion height (supremum) exceeding a threshold."""
 
     min_height: float
+
+    def __post_init__(self):
+        if not math.isfinite(self.min_height):
+            raise ValueError("min_height must be finite")
 
     def check(self, path: EventPath) -> bool:
         return path.sup() >= self.min_height
@@ -458,8 +466,8 @@ def sample_killed_sup_excursions(model: LevyModel, n: int, depth: float,
     jump, whichever comes first.
     """
     _check_exact(model)
-    if depth <= 0.0:
-        raise ValueError("depth must be positive")
+    if not (depth > 0.0 and math.isfinite(depth)):
+        raise ValueError("depth must be positive and finite")
     max_attempts = _attempt_cap(n)
     out = []
     for _ in range(max_attempts):

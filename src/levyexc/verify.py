@@ -20,19 +20,21 @@ Design notes
 - Suites name their functionals by catalog spec (``"area"``,
   ``"value_at_fraction:0.3"``), and one table maps each name to its
   evaluator and to whether it is integer-valued.  That flag decides the test:
-  integer-valued functionals (jump counts, crossing counts, widths) use a
-  permutation p-value for the Kolmogorov-Smirnov statistic, because the
+  integer-valued functionals (jump counts, crossing counts, widths) use the
+  exact permutation p-value of the Kolmogorov-Smirnov statistic, because the
   asymptotic null is wrong under heavy ties; continuous ones use the
-  asymptotic p-value at the effective sample size.  A relabelling is drawn
-  as the A count of each tie group, not as a shuffle of the whole pool.
+  asymptotic p-value at the effective sample size.  Both read D off one
+  sort of the pool, and the permutation p is a sum over the tie groups, so
+  every row is a pure function of its two samples.
 - Sampling is conditioned to a positive-finite-mass event (everything here
   uses the unconditioned excursion law, a first-passage law, or a
   reach-a-depth conditioning).  What licenses testing an identity on
   conditioned draws is that the transformation does not move paths in or
   out of the conditioning event, so the reach-a-depth suite checks that per
   sample and counts a path moved across it as an exact failure.
-- Every block of samples comes from its own deterministic child stream, so
-  results are byte-reproducible: a pure function of (config, seed).
+- Every block of samples comes from its own deterministic child stream and
+  no test draws random numbers, so results are byte-reproducible: a pure
+  function of (config, seed).
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from typing import Callable, NamedTuple, Optional
 import csv
 
 import numpy as np
-from scipy.special import kolmogorov
+from scipy.special import gammaln, kolmogorov
 
 from levyexc.excursions import (
     argmax_time,
@@ -97,9 +99,9 @@ __all__ = [
 # k rows rejects a true identity with probability at most k * 1e-3: at most
 # 0.8% for killed_passage_rotation, which gates 8 rows, and at most 3.1% for
 # a full `levyexc verify` run at a fresh seed, whose invariance suites gate
-# 31 rows in all.  Permutation rows are covered too: their add-one p over
-# N_PERMUTATIONS = 2000 relabellings is <= 1e-3 only if at most one of them
-# reaches the observed D, which a true null allows with chance <= 2/2001.
+# 31 rows in all.  Permutation rows are covered too: their p is exact, so a
+# true null makes it <= 1e-3 with chance at most 1e-3 (less under ties,
+# where the attainable p-values are coarse).
 PER_FUNCTIONAL_ALPHA = 1e-3
 # Threshold for tests that are *supposed* to reject (negative controls).
 REJECT_ALPHA = 1e-6
@@ -107,8 +109,6 @@ REJECT_ALPHA = 1e-6
 # copy floats verbatim; only sum reassociation (lifetime is a sum of
 # durations read in a different order) can move a digit in the last place.
 EXACT_RTOL = 1e-12
-# Relabellings per permutation p-value; read at call time.
-N_PERMUTATIONS = 2000
 DEFAULT_SEED = 7
 # Shipped seed of the null-calibration run.  The empirical rejection rate at
 # 1000 repetitions has a ~0.007 standard error around the true ~0.049, so a
@@ -134,14 +134,26 @@ def _as_sample(x, name: str) -> np.ndarray:
     return arr
 
 
+def _tie_groups(a, b) -> tuple:
+    """(sizes, D): the tie-group sizes of the sorted pool and the KS distance.
+
+    One stable argsort of the pool.  D only moves at the ends of the tie
+    groups, where it is |K/n_a - (M - K)/n_b| with M the pooled and K the A
+    count through the group; both are integer counts.
+    """
+    a = _as_sample(a, "a")
+    b = _as_sample(b, "b")
+    pool = np.concatenate([a, b])
+    order = np.argsort(pool, kind="stable")
+    ends = np.append(np.nonzero(np.diff(pool[order]))[0], pool.size - 1)
+    k = np.cumsum(order < a.size)[ends]
+    d = np.max(np.abs(k / a.size - (ends + 1 - k) / b.size))
+    return np.diff(ends, prepend=-1), float(d)
+
+
 def ks_statistic(a, b) -> float:
     """Supremum distance between the two empirical distribution functions."""
-    a = np.sort(_as_sample(a, "a"))
-    b = np.sort(_as_sample(b, "b"))
-    pool = np.concatenate([a, b])
-    f_a = np.searchsorted(a, pool, side="right") / a.size
-    f_b = np.searchsorted(b, pool, side="right") / b.size
-    return float(np.max(np.abs(f_a - f_b)))
+    return _tie_groups(a, b)[1]
 
 
 def ks_two_sample(a, b) -> tuple:
@@ -160,35 +172,90 @@ def ks_two_sample(a, b) -> tuple:
     return d, p
 
 
-def permutation_ks(a, b, rng: np.random.Generator) -> tuple:
-    """(D, p) for the KS statistic with a permutation null.
+# Stirling-series coefficients of log(n!) - log(sqrt(2 pi n) (n / e)^n).
+_STIRLING = (1 / 12, 1 / 360, 1 / 1260, 1 / 1680, 1 / 1188)
+
+
+def _stirlerr(n: np.ndarray) -> np.ndarray:
+    """log(n!) - log(sqrt(2 pi n) (n / e)^n) for integers n >= 1."""
+    direct = (gammaln(n + 1) - (n + 0.5) * np.log(n) + n
+              - 0.5 * math.log(2.0 * math.pi))
+    inv = 1.0 / (n * n)
+    s0, s1, s2, s3, s4 = _STIRLING
+    series = (s0 - (s1 - (s2 - (s3 - s4 * inv) * inv) * inv) * inv) / n
+    return np.where(n <= 15, direct, series)
+
+
+def _bd0(x: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """x log(x / m) + m - x, accurate to about |x - m| ulps."""
+    u = (x - m) / m
+    return m * ((1.0 + u) * np.log1p(u) - u)
+
+
+def _binom_pmf(n, k, p: float) -> np.ndarray:
+    """Binomial(n, p) pmf at ``k``; ``n`` and ``k`` are broadcast integer
+    arrays, and the pmf is 0 for k outside 0..n.
+
+    Loader's saddle-point form (Loader 2000, "Fast and accurate computation
+    of binomial probabilities"): every term of its log stays small, so the
+    pmf keeps its relative precision at large n, where log-gamma
+    differences lose ~1e-11 to cancellation.
+    """
+    n = np.asarray(n, dtype=float)
+    k = np.asarray(k, dtype=float)
+    inner = (k > 0) & (k < n)
+    j = np.where(inner, k, 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_inner = (_stirlerr(n) - _stirlerr(j) - _stirlerr(n - j)
+                     - _bd0(j, n * p) - _bd0(n - j, n * (1.0 - p))
+                     - 0.5 * np.log(2.0 * math.pi * j * (n - j) / n))
+        inner_pmf = np.exp(log_inner)
+    edge = np.where(k == 0, (1.0 - p) ** n, np.where(k == n, p ** n, 0.0))
+    return np.where(inner, inner_pmf, edge)
+
+
+def permutation_ks(a, b) -> tuple:
+    """(D, p) for the KS statistic with its exact permutation null.
 
     Valid under arbitrary ties, hence used for integer-valued functionals.
-    D only moves at the ends of the G tie groups of the sorted pool, where
-    it is |K/n_a - (M - K)/n_b| with M the pooled and K the A count so far.
-    Uniform relabelling makes the group A counts multivariate
-    hypergeometric, so each of the :data:`N_PERMUTATIONS` relabellings is
-    one O(G) draw of them.  The p-value uses the add-one convention, so its
-    floor is 1/(N_PERMUTATIONS + 1).
+    The p-value is the share of all C(N, n_a) relabellings of the pool whose
+    D reaches the observed one, counted as lattice paths over the tie groups
+    (Schroer & Trenkler 1995).  Drawing every pooled value into A
+    independently with chance n_a/N and conditioning on n_a draws gives the
+    uniform relabelling, so a dynamic programme carries the A count K
+    through each group by a Binomial(g, n_a/N) convolution.  A state where
+    |K/n_a - (M - K)/n_b| reaches D leaves it, weighted by the chance that
+    the rest of the pool holds the missing n_a - K; the exceedance mass is
+    divided by the chance of n_a in all.
     """
-    a = _as_sample(a, "a")
-    b = _as_sample(b, "b")
-    n_a, n_b = a.size, b.size
-    pool = np.concatenate([a, b])
-    order = np.argsort(pool, kind="stable")
-    # Last index of every tie group: the CDF difference only matters there.
-    ends = np.append(np.nonzero(np.diff(pool[order]))[0], pool.size - 1)
-    weights = np.concatenate(
-        [np.full(n_a, 1.0 / n_a), np.full(n_b, -1.0 / n_b)])
-    observed = float(np.max(np.abs(np.cumsum(weights[order])[ends])))
-
-    counts = rng.multivariate_hypergeometric(np.diff(ends, prepend=-1), n_a,
-                                             size=N_PERMUTATIONS)
-    k = np.cumsum(counts, axis=1)
-    stats = np.max(np.abs(k / n_a - (ends + 1 - k) / n_b), axis=1)
-    exceed = int(np.count_nonzero(stats >= observed - 1e-12))
-    p = (1 + exceed) / (1 + N_PERMUTATIONS)
-    return observed, float(p)
+    sizes, observed = _tie_groups(a, b)
+    n_a = np.asarray(a).size
+    n = int(sizes.sum())
+    n_b = n - n_a
+    p_a = n_a / n
+    steps = {g: _binom_pmf(g, np.arange(g + 1), p_a)
+             for g in np.unique(sizes).tolist()}
+    mass = np.ones(1)  # over K = lo, lo + 1, ...
+    lo = m = 0
+    hits = []  # per group: (pool left, A count it must hold, mass) of exits
+    for g in sizes.tolist():
+        m += g
+        mass = np.convolve(mass, steps[g])
+        # Keep only counts from which n_a is still reachable.
+        first, last = max(lo, n_a - (n - m)), min(lo + mass.size - 1, n_a, m)
+        mass, lo = mass[first - lo:last + 1], first
+        k = np.arange(lo, lo + mass.size)
+        hit = np.abs(k / n_a - (m - k) / n_b) >= observed - 1e-12
+        hits.append((np.full(np.count_nonzero(hit), n - m), n_a - k[hit],
+                     mass[hit]))
+        kept = np.flatnonzero(~hit)
+        if kept.size == 0:
+            break
+        # |K/n_a - (M - K)/n_b| grows with K, so the kept counts are a run.
+        mass, lo = mass[kept[0]:kept[-1] + 1], lo + int(kept[0])
+    rest, need, weight = map(np.concatenate, zip(*hits))
+    exceed = float(np.dot(weight, _binom_pmf(rest, need, p_a)))
+    return observed, min(1.0, exceed / float(_binom_pmf(n, n_a, p_a)))
 
 
 def ks_null_calibration(n: int = 2000, repetitions: int = 1000,
@@ -664,11 +731,8 @@ def _run_spec(spec: _SuiteSpec, model: LevyModel, n: int, stream: RngStream,
     for test in spec.tests:
         x_a = np.asarray([test.f_a(o) for o in transformed], dtype=float)
         x_b = np.asarray([test.f_b(o) for o in objs_b], dtype=float)
-        if test.permutation:
-            gen = stream.child("perm", test.functional).generator()
-            stat, p = permutation_ks(x_a, x_b, gen)
-        else:
-            stat, p = ks_two_sample(x_a, x_b)
+        test_fn = permutation_ks if test.permutation else ks_two_sample
+        stat, p = test_fn(x_a, x_b)
         if test.expect_reject:
             verdict = "Reject" if p < REJECT_ALPHA else "Pass"
             ok = verdict == "Reject"

@@ -1,4 +1,5 @@
-"""Tests of the pure summary in tools/bench_pairs.py (the gain rule)."""
+"""Tests of the pure summaries in tools/bench_pairs.py: the gain rule and
+the failed shares."""
 
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ _SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
 bench_pairs = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(bench_pairs)
 summarize = bench_pairs.summarize
+failure_shares = bench_pairs.failure_shares
 
 PARENT = [5.0, 5.2, 4.8, 5.1, 4.9, 5.3, 4.7, 5.0, 5.2, 4.8]
 
@@ -68,3 +70,24 @@ def test_single_pair_and_bad_input():
         summarize([1.0, 2.0], [1.0], "lower")
     with pytest.raises(ValueError):
         summarize([1.0], [1.0], "faster")
+
+
+def _runs(*pairs):
+    return [{"failed": f, "attempted": a} for f, a in pairs]
+
+
+def test_equal_share_over_more_passes_is_not_flagged():
+    # One failing operation per 9-operation pass: a faster change that fits
+    # 5 passes into the budget fails 5 times against the parent's 4.
+    s = failure_shares(_runs((4, 36), (5, 45)), _runs((5, 45), (5, 45)))
+    assert s["parent"] == pytest.approx([1 / 9, 1 / 9])
+    assert s["change"] == pytest.approx([1 / 9, 1 / 9])
+    assert s["change_higher"] == []
+
+
+def test_higher_change_share_is_flagged():
+    s = failure_shares(_runs((0, 12), (1, 12), (2, 24)),
+                       _runs((1, 12), (1, 12), (1, 24)))
+    assert s["change_higher"] == [0]
+    with pytest.raises(ValueError):
+        failure_shares(_runs((0, 12)), [])

@@ -109,6 +109,23 @@ class TestSimulate:
         assert code == EXIT_USAGE
         assert out == ""
 
+    @pytest.mark.parametrize("argv", [
+        ("--kind", "sup-excursion", "--depth", "nan"),
+        ("--kind", "sup-excursion", "--depth", "inf"),
+        ("--kind", "excursion", "--min-height", "nan"),
+        ("--kind", "excursion", "--min-lifetime", "inf"),
+    ])
+    def test_non_finite_depth_or_threshold_exits_2(self, capsys, monkeypatch,
+                                                   argv):
+        # No draw reaches an infinite depth or clears a NaN or infinite
+        # threshold; with the caps lowered, a run that started sampling
+        # would exit 3 at once.
+        monkeypatch.setattr(simulate, "DEFAULT_MAX_EVENTS", 1000)
+        monkeypatch.setattr(simulate, "_attempt_cap", lambda n: 10)
+        code, out = run_cli(capsys, "simulate", "--n", "1", *argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+
     def test_conflicting_conditions_exit_2(self, capsys):
         code, _ = run_cli(capsys, "simulate", "--kind", "excursion",
                           "--min-lifetime", "1", "--min-height", "1")
@@ -284,6 +301,14 @@ class TestHist:
                           "--functional", "width_at_fraction:0.5",
                           "--min-height", "0.5", "--n", "100")
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("argv", [("--min-height", "nan"),
+                                      ("--min-lifetime", "inf")])
+    def test_non_finite_threshold_exits_2(self, capsys, argv):
+        code, out = run_cli(capsys, "hist", "--functional", "lifetime",
+                            "--n", "50", *argv)
+        assert code == EXIT_USAGE
+        assert out == ""
 
     def test_width_functional_on_path_suite_exits_2(self, capsys):
         code = main(["hist", "--suite", "sup_swap",

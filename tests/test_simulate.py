@@ -123,6 +123,12 @@ class TestSamplePathFv:
         with pytest.raises(RuntimeError, match="within 3 events"):
             sample_killed_sup_excursions(MODEL, 1, 1e6, rng)
 
+    @pytest.mark.parametrize("depth", [0.0, -1.0, math.nan, math.inf])
+    def test_kill_depth_must_be_positive_and_finite(self, depth):
+        with pytest.raises(ValueError):
+            sample_killed_sup_excursions(MODEL, 1, depth,
+                                         RngStream(0).generator())
+
     def test_brownian_model_rejected(self):
         m = LevyModel(alpha=-1.0, beta=1.0, jumps=NullJumps())
         with pytest.raises(ValueError):
@@ -222,8 +228,7 @@ class TestExtractExcursions:
             _, p = ks_two_sample([f(e) for e in cut], [f(e) for e in direct])
             assert p > PER_FUNCTIONAL_ALPHA
         _, p = permutation_ks([e.jump_count() for e in cut],
-                              [e.jump_count() for e in direct],
-                              stream.child("perm").generator())
+                              [e.jump_count() for e in direct])
         assert p > PER_FUNCTIONAL_ALPHA
 
 
@@ -297,8 +302,7 @@ class TestExtractSupExcursions:
             _, p = ks_two_sample([f(e) for e in cut], [f(e) for e in direct])
             assert p > PER_FUNCTIONAL_ALPHA
         _, p = permutation_ks([e.jump_count() for e in cut],
-                              [e.jump_count() for e in direct],
-                              stream.child("perm").generator())
+                              [e.jump_count() for e in direct])
         assert p > PER_FUNCTIONAL_ALPHA
 
 
@@ -351,6 +355,12 @@ class TestSampleExcursions:
     def test_supercritical_rejected(self):
         with pytest.raises(ValueError):
             sample_excursions(SUPER, 1, RngStream(0).generator())
+
+    @pytest.mark.parametrize("make", [LifetimeAtLeast, HeightAtLeast])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_threshold_rejected(self, make, value):
+        with pytest.raises(ValueError):
+            make(value)
 
     @pytest.mark.parametrize("name", ["bd", "dirac"])
     @pytest.mark.parametrize("condition", [AnyExcursion(),

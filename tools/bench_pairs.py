@@ -14,7 +14,9 @@ goes first, and writes:
   and ties, and whether the change meets the gain rule (it wins at least
   nine tenths of the pairs and the medians differ, in its favour, by more
   than the parent's interquartile range);
-- each side's ``failed`` counts and ``output_sha256`` digests;
+- each side's ``failed`` counts, its ``failed``/``attempted`` share per run,
+  the pairs whose change-side share is higher (flagged on stderr too), and
+  each side's ``output_sha256`` digests;
 - the interpreter, numpy and scipy versions and the core count.
 
 Each side runs the benchmark code of its own checkout.  Run a single pair
@@ -78,6 +80,23 @@ def summarize(parent: list, change: list, better: str) -> dict:
         "relative_change": (c_med - p_med) / p_med if p_med else None,
         "gain": wins >= WIN_SHARE * len(parent) and gap > p_q3 - p_q1,
     }
+
+
+def failure_shares(parent: list, change: list) -> dict:
+    """Failed shares of paired runs (dicts with ``failed`` and ``attempted``).
+
+    A run's raw ``failed`` count grows with the passes that fit in its time
+    budget, so only the share compares a faster side with a slower one.
+    ``change_higher`` lists the pairs whose change-side share is higher.
+    """
+    if len(parent) != len(change) or not parent:
+        raise ValueError("need equally many parent and change runs, >= 1")
+    shares = {side: [r["failed"] / r["attempted"] for r in runs]
+              for side, runs in (("parent", parent), ("change", change))}
+    shares["change_higher"] = [
+        i for i, (p, c) in enumerate(zip(shares["parent"], shares["change"]))
+        if c > p]
+    return shares
 
 
 def _git(*args, cwd=ROOT) -> str:
@@ -167,8 +186,15 @@ def main(argv=None) -> int:
                                           seconds, args.trace)
                             runs[side].append(r)
                             print(f"{workload} seed {seed} pair {i} {side}: "
-                                  f"{r['metrics']} failed {r['failed']}",
+                                  f"{r['metrics']} failed {r['failed']}"
+                                  f"/{r['attempted']}",
                                   file=sys.stderr, flush=True)
+                    shares = failure_shares(runs["parent"], runs["change"])
+                    if shares["change_higher"]:
+                        print(f"{workload} seed {seed}: the change fails a "
+                              "larger share in pairs "
+                              f"{shares['change_higher']}",
+                              file=sys.stderr, flush=True)
                     doc["results"].append({
                         "workload": workload,
                         "seed": seed,
@@ -184,6 +210,7 @@ def main(argv=None) -> int:
                             for name in runs["change"][0]["metrics"]},
                         "failed": {side: [r["failed"] for r in runs[side]]
                                    for side in runs},
+                        "failed_share": shares,
                         "output_sha256": {
                             side: sorted({r["output_sha256"]
                                           for r in runs[side]})
