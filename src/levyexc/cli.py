@@ -48,6 +48,7 @@ from levyexc.simulate import (
 from levyexc.trees import sample_tree, tree_to_dict
 from levyexc.verify import (
     DEFAULT_SEED,
+    SUITE_PARAMS,
     functional_by_name,
     ks_null_calibration,
     reports_to_csv,
@@ -67,49 +68,50 @@ CALIBRATION_BAND = (0.035, 0.065)
 
 _SIMULATE_KINDS = ("path", "excursion", "sup-excursion", "tree")
 
-# Config keys each subcommand accepts (flags override them).
-_CONFIG_KEYS = {
-    "simulate": {"model", "seed", "kind", "n", "stop", "x0",
-                 "min_lifetime", "min_height", "depth"},
-    "tree": {"model", "seed", "n"},
-    "scale-fn": {"model", "h_w", "x_max"},
-    "verify": {"model", "seed", "suites", "n", "n_by_suite",
-               "x_values", "depth", "fractions", "mass_factor",
-               "with_calibration"},
-    "hist": {"model", "seed", "suite", "functional", "n", "bins",
-             "x_values", "depth", "fractions", "mass_factor",
-             "min_lifetime", "min_height"},
+# Every option each subcommand reads, with its default.  A key is the
+# subcommand's config key and the dest of its flag, if it has one; main
+# fills each option the command line left out from the config file, else
+# from here.
+_CONDITION = {"min_lifetime": None, "min_height": None}
+_OPTIONS = {
+    "simulate": {"model": "bd", "seed": DEFAULT_SEED, "kind": "path", "n": 1,
+                 "stop": "horizon:10", "x0": 0.0, "depth": 0.5,
+                 **_CONDITION},
+    "tree": {"model": "bd", "seed": DEFAULT_SEED, "n": 1},
+    "scale-fn": {"model": "bd", "h_w": 1e-3, "x_max": 5.0},
+    "verify": {"model": "bd", "seed": DEFAULT_SEED, "suites": None,
+               "n": None, "with_calibration": False, **SUITE_PARAMS},
+    "hist": {"model": "bd", "seed": DEFAULT_SEED, "suite": "sup_swap",
+             "functional": "lifetime", "n": 2000, "bins": 30, **_CONDITION,
+             **SUITE_PARAMS},
 }
 
 
 # -- configuration -------------------------------------------------------------
 
 
-def _load_config(path: str, command: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        cfg = json.load(fh)
-    if not isinstance(cfg, dict):
-        raise ValueError("config must be a JSON object")
-    unknown = set(cfg) - _CONFIG_KEYS[command]
-    if unknown:
-        raise ValueError(f"unknown config keys for {command!r}: "
-                         f"{sorted(unknown)}")
-    return cfg
+def _fill_options(args) -> None:
+    """Set every option the command line left out: from the ``--config``
+    file when it holds a non-null value, else the table default."""
+    options = _OPTIONS[args.command]
+    cfg = {}
+    if args.config:
+        with open(args.config, "r", encoding="utf-8") as fh:
+            cfg = json.load(fh)
+        if not isinstance(cfg, dict):
+            raise ValueError("config must be a JSON object")
+        unknown = set(cfg) - set(options)
+        if unknown:
+            raise ValueError(f"unknown config keys for {args.command!r}: "
+                             f"{sorted(unknown)}")
+    for key, default in options.items():
+        if getattr(args, key, None) is None:
+            value = cfg.get(key)
+            setattr(args, key, default if value is None else value)
 
 
-def _pick(flag_value, cfg: dict, key: str, default):
-    """Flag value if given, else the config entry, else the default."""
-    if flag_value is not None:
-        return flag_value
-    return cfg.get(key, default)
-
-
-def _resolve_model(flag_name, cfg: dict) -> LevyModel:
-    if flag_name is not None:
-        return named_model(flag_name)
-    spec = cfg.get("model")
-    if spec is None:
-        return named_model("bd")
+def _model(spec) -> LevyModel:
+    """A catalog name, or a model configuration from the config file."""
     if isinstance(spec, str):
         return named_model(spec)
     return model_from_config(spec)
@@ -175,34 +177,27 @@ def _simulate_lines(model, kind, n, stop_spec, x0, condition, depth,
 
 
 def _cmd_simulate(args) -> int:
-    cfg = _load_config(args.config, "simulate") if args.config else {}
-    model = _resolve_model(args.model, cfg)
-    kind = _pick(args.kind, cfg, "kind", "path")
-    n = int(_pick(args.n, cfg, "n", 1))
-    seed = int(_pick(args.seed, cfg, "seed", DEFAULT_SEED))
-    stop_spec = _pick(args.stop, cfg, "stop", "horizon:10")
-    x0 = float(_pick(args.x0, cfg, "x0", 0.0))
-    depth = float(_pick(args.depth, cfg, "depth", 0.5))
-    condition = _parse_condition(
-        _pick(args.min_lifetime, cfg, "min_lifetime", None),
-        _pick(args.min_height, cfg, "min_height", None))
+    model = _model(args.model)
+    n = int(args.n)
+    x0 = float(args.x0)
+    depth = float(args.depth)
+    condition = _parse_condition(args.min_lifetime, args.min_height)
     if n < 1:
         raise ValueError("need n >= 1")
-    lines = _simulate_lines(model, kind, n, stop_spec, x0, condition, depth,
-                            seed)
+    lines = _simulate_lines(model, args.kind, n, args.stop, x0, condition,
+                            depth, int(args.seed))
     _emit("".join(line + "\n" for line in lines), args.output)
-    print(f"simulate: wrote {len(lines)} {kind} records", file=sys.stderr)
+    print(f"simulate: wrote {len(lines)} {args.kind} records", file=sys.stderr)
     return EXIT_OK
 
 
 def _cmd_tree(args) -> int:
-    cfg = _load_config(args.config, "tree") if args.config else {}
-    model = _resolve_model(args.model, cfg)
-    n = int(_pick(args.n, cfg, "n", 1))
-    seed = int(_pick(args.seed, cfg, "seed", DEFAULT_SEED))
+    model = _model(args.model)
+    n = int(args.n)
     if n < 1:
         raise ValueError("need n >= 1")
-    lines = _simulate_lines(model, "tree", n, None, 0.0, None, 0.5, seed)
+    lines = _simulate_lines(model, "tree", n, None, 0.0, None, 0.5,
+                            int(args.seed))
     _emit("".join(line + "\n" for line in lines), args.output)
     print(f"tree: wrote {len(lines)} records", file=sys.stderr)
     return EXIT_OK
@@ -212,10 +207,9 @@ def _cmd_tree(args) -> int:
 
 
 def _cmd_scale_fn(args) -> int:
-    cfg = _load_config(args.config, "scale-fn") if args.config else {}
-    model = _resolve_model(args.model, cfg)
-    h = float(_pick(args.h_w, cfg, "h_w", 1e-3))
-    x_max = float(_pick(args.x_max, cfg, "x_max", 5.0))
+    model = _model(args.model)
+    h = float(args.h_w)
+    x_max = float(args.x_max)
     table = model.scale_table(x_max, h)
     rows = ["x,W"]
     for i, w in enumerate(table.values):
@@ -229,27 +223,15 @@ def _cmd_scale_fn(args) -> int:
 # -- verify --------------------------------------------------------------------
 
 
-def _suite_params(cfg: dict) -> dict:
-    params = {}
-    for key in ("x_values", "depth", "fractions", "mass_factor"):
-        if key in cfg:
-            params[key] = cfg[key]
-    return params
+def _suite_params(args) -> dict:
+    return {key: getattr(args, key) for key in SUITE_PARAMS}
 
 
 def _cmd_verify(args) -> int:
-    cfg = _load_config(args.config, "verify") if args.config else {}
-    model = _resolve_model(args.model, cfg)
-    names = args.suite or cfg.get("suites")
-    n = _pick(args.n, cfg, "n", None)
-    n_by_suite = cfg.get("n_by_suite")
-    seed = int(_pick(args.seed, cfg, "seed", DEFAULT_SEED))
-    with_calibration = bool(args.with_calibration
-                            or cfg.get("with_calibration", False))
-
-    results = run_suites(names, model=model,
-                         n=None if n is None else int(n), seed=seed,
-                         n_by_suite=n_by_suite, **_suite_params(cfg))
+    model = _model(args.model)
+    n = None if args.n is None else int(args.n)
+    results = run_suites(args.suites, model=model, n=n, seed=int(args.seed),
+                         **_suite_params(args))
     all_passed = all(r.passed for r in results)
     for r in results:
         worst = min((rep.p_value for rep in r.reports), default=1.0)
@@ -258,7 +240,7 @@ def _cmd_verify(args) -> int:
               f"/{r.exact_checked})", file=sys.stderr)
 
     calibration_rate = None
-    if with_calibration:
+    if args.with_calibration:
         calibration_rate = ks_null_calibration()
         lo, hi = CALIBRATION_BAND
         in_band = lo <= calibration_rate <= hi
@@ -288,22 +270,17 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_hist(args) -> int:
-    cfg = _load_config(args.config, "hist") if args.config else {}
-    model = _resolve_model(args.model, cfg)
-    suite = _pick(args.suite, cfg, "suite", "sup_swap")
-    spec = _pick(args.functional, cfg, "functional", "lifetime")
-    n = int(_pick(args.n, cfg, "n", 2000))
-    bins = int(_pick(args.bins, cfg, "bins", 30))
-    seed = int(_pick(args.seed, cfg, "seed", DEFAULT_SEED))
-    condition = _parse_condition(
-        _pick(args.min_lifetime, cfg, "min_lifetime", None),
-        _pick(args.min_height, cfg, "min_height", None))
+    model = _model(args.model)
+    suite, spec = args.suite, args.functional
+    n = int(args.n)
+    bins = int(args.bins)
+    condition = _parse_condition(args.min_lifetime, args.min_height)
     if n < 1 or bins < 1:
         raise ValueError("need n >= 1 and bins >= 1")
 
     functional = functional_by_name(spec)
-    sampler = suite_sampler(suite, model=model, **_suite_params(cfg))
-    stream = RngStream(seed).child("cli", "hist", suite)
+    sampler = suite_sampler(suite, model=model, **_suite_params(args))
+    stream = RngStream(int(args.seed)).child("cli", "hist", suite)
     accepted: list = []
     for attempt in range(64):
         if len(accepted) >= n:
@@ -340,12 +317,26 @@ def _cmd_hist(args) -> int:
 # -- parser --------------------------------------------------------------------
 
 
-def _add_common(sub):
+def _flag(sub, command: str, flag: str, help: str, **kwargs) -> None:
+    """Add ``flag`` for option ``dest`` (the flag name with ``_`` for ``-``
+    unless given); its help names the option's table default, if any."""
+    dest = kwargs.pop("dest", flag[2:].replace("-", "_"))
+    default = _OPTIONS[command][dest]
+    if default is not None and not isinstance(default, bool):
+        help = f"{help} (default {default})"
+    sub.add_argument(flag, dest=dest, help=help, **kwargs)
+
+
+def _subcommand(subs, command: str, handler, help: str):
+    sub = subs.add_parser(command, help=help)
     sub.add_argument("--config", help="JSON config file; flags override it")
-    sub.add_argument("--model", help="named model (e.g. bd, bd-control, "
-                                     "dirac, brownian)")
-    sub.add_argument("--seed", type=int, help="base seed (default 7)")
+    _flag(sub, command, "--model",
+          "named model (e.g. bd, bd-control, dirac, brownian)")
+    if "seed" in _OPTIONS[command]:
+        _flag(sub, command, "--seed", "base seed", type=int)
     sub.add_argument("--output", help="write data here instead of stdout")
+    sub.set_defaults(handler=handler)
+    return sub
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -355,73 +346,59 @@ def build_parser() -> argparse.ArgumentParser:
                     "positive Levy paths, excursions, and splitting trees.")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    sim = subs.add_parser("simulate", help="emit JSON-lines sample objects")
-    _add_common(sim)
-    sim.add_argument("--kind", choices=_SIMULATE_KINDS,
-                     help="object type (default path)")
-    sim.add_argument("--n", type=int, help="number of records (default 1)")
-    sim.add_argument("--stop", help="path stop rule horizon:T | "
-                                    "first-passage:L | excursions:K")
-    sim.add_argument("--x0", type=float, help="path start value (default 0)")
-    sim.add_argument("--min-lifetime", dest="min_lifetime", type=float,
-                     help="condition excursions on lifetime >= this")
-    sim.add_argument("--min-height", dest="min_height", type=float,
-                     help="condition excursions on height >= this")
-    sim.add_argument("--depth", type=float,
-                     help="sup-excursion kill depth (default 0.5)")
-    sim.set_defaults(handler=_cmd_simulate)
+    sim = _subcommand(subs, "simulate", _cmd_simulate,
+                      "emit JSON-lines sample objects")
+    _flag(sim, "simulate", "--kind", "object type", choices=_SIMULATE_KINDS)
+    _flag(sim, "simulate", "--n", "number of records", type=int)
+    _flag(sim, "simulate", "--stop",
+          "path stop rule horizon:T | first-passage:L | excursions:K")
+    _flag(sim, "simulate", "--x0", "path start value", type=float)
+    _flag(sim, "simulate", "--min-lifetime",
+          "condition excursions on lifetime >= this", type=float)
+    _flag(sim, "simulate", "--min-height",
+          "condition excursions on height >= this", type=float)
+    _flag(sim, "simulate", "--depth", "sup-excursion kill depth", type=float)
 
-    tree = subs.add_parser("tree", help="emit JSON-lines splitting trees")
-    _add_common(tree)
-    tree.add_argument("--n", type=int, help="number of trees (default 1)")
-    tree.set_defaults(handler=_cmd_tree)
+    tree = _subcommand(subs, "tree", _cmd_tree,
+                       "emit JSON-lines splitting trees")
+    _flag(tree, "tree", "--n", "number of trees", type=int)
 
-    scale = subs.add_parser("scale-fn",
-                            help="CSV table x,W of the scale function")
-    _add_common(scale)
-    scale.add_argument("--h-w", dest="h_w", type=float,
-                       help="grid step (default 1e-3)")
-    scale.add_argument("--x-max", dest="x_max", type=float,
-                       help="table endpoint (default 5)")
-    scale.set_defaults(handler=_cmd_scale_fn)
+    scale = _subcommand(subs, "scale-fn", _cmd_scale_fn,
+                        "CSV table x,W of the scale function")
+    _flag(scale, "scale-fn", "--h-w", "grid step", type=float)
+    _flag(scale, "scale-fn", "--x-max", "table endpoint", type=float)
 
-    ver = subs.add_parser("verify", help="run verification suites")
-    _add_common(ver)
-    ver.add_argument("--suite", action="append",
-                     help="suite name; repeat for several (default all)")
-    ver.add_argument("--n", type=int,
-                     help="per-half sample count for every suite "
-                          "(default: per-suite shipped sizes)")
+    ver = _subcommand(subs, "verify", _cmd_verify, "run verification suites")
+    _flag(ver, "verify", "--suite", "suite name; repeat for several "
+          "(default all)", dest="suites", action="append")
+    _flag(ver, "verify", "--n", "per-half sample count for every suite "
+          "(default: per-suite shipped sizes)", type=int)
     ver.add_argument("--json", action="store_true",
                      help="emit one JSON document instead of CSV")
-    ver.add_argument("--with-calibration", action="store_true",
-                     help="also check the null calibration rate")
-    ver.set_defaults(handler=_cmd_verify)
+    _flag(ver, "verify", "--with-calibration",
+          "also check the null calibration rate", action="store_true",
+          default=None)
 
-    hist = subs.add_parser("hist",
-                           help="CSV histogram of a functional under a "
-                                "suite's sampling")
-    _add_common(hist)
-    hist.add_argument("--functional",
-                      help="functional name, e.g. lifetime, area, "
-                           "value_at_fraction:0.3 (default lifetime)")
-    hist.add_argument("--suite", help="suite whose sampler to draw from "
-                                      "(default sup_swap)")
-    hist.add_argument("--n", type=int, help="sample count (default 2000)")
-    hist.add_argument("--bins", type=int, help="bin count (default 30)")
-    hist.add_argument("--min-lifetime", dest="min_lifetime", type=float,
-                      help="keep samples with lifetime >= this")
-    hist.add_argument("--min-height", dest="min_height", type=float,
-                      help="keep samples with height >= this")
-    hist.set_defaults(handler=_cmd_hist)
+    hist = _subcommand(subs, "hist", _cmd_hist,
+                       "CSV histogram of a functional under a suite's "
+                       "sampling")
+    _flag(hist, "hist", "--functional", "functional name, e.g. lifetime, "
+          "area, value_at_fraction:0.3")
+    _flag(hist, "hist", "--suite", "suite whose sampler to draw from")
+    _flag(hist, "hist", "--n", "sample count", type=int)
+    _flag(hist, "hist", "--bins", "bin count", type=int)
+    _flag(hist, "hist", "--min-lifetime", "keep samples with lifetime >= this",
+          type=float)
+    _flag(hist, "hist", "--min-height", "keep samples with height >= this",
+          type=float)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
+        _fill_options(args)
         return args.handler(args)
     except (ValueError, OSError) as exc:
         print(f"levyexc: error: {exc}", file=sys.stderr)

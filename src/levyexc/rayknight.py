@@ -55,7 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from levyexc.simulate import RngStream
+from levyexc.simulate import DEFAULT_SEED, RngStream
 
 __all__ = [
     "local_time_field",
@@ -63,8 +63,6 @@ __all__ = [
     "moment_check",
     "feller_moment_check",
 ]
-
-DEFAULT_SEED = 7  # package-wide default
 
 
 def local_time_field(target: float, levels, n_paths: int, h: float,
@@ -158,26 +156,21 @@ class MomentCheck:
 
 def feller_moment_check(target: float = 1.0, levels=(0.1, 0.2),
                         n_paths: int = 5000, h: float = 1e-4,
-                        delta: float = 0.04, cap: float = 1.0,
-                        seed: int = DEFAULT_SEED,
-                        mean_tolerance: float = 0.05,
-                        var_tolerance: float = 0.10,
-                        max_time: float = 100.0) -> MomentCheck:
+                        delta: float = 0.04,
+                        seed: int = DEFAULT_SEED) -> MomentCheck:
     """Check E[L^t] = target and Var[L^t] = 4 target t at the given levels.
 
     Runs :func:`local_time_field` and compares the empirical mean and
     variance per level against the branching-diffusion values within the
-    given relative tolerances.  At the default sizes the Monte Carlo
-    standard errors are about 0.9% of the mean and 2.5-3% of the variance,
-    so the tolerances sit 3-6 standard errors past the residual bias.  The
-    default bin width pairs with the default step so the two variance
-    discretization effects offset (see the module docstring).
+    relative tolerances of :func:`moment_check` (5% and 10%).  At the
+    default sizes the Monte Carlo standard errors are about 0.9% of the mean
+    and 2.5-3% of the variance, so the tolerances sit 3-6 standard errors
+    past the residual bias.  The default bin width pairs with the default
+    step so the two variance discretization effects offset (see the module
+    docstring).
     """
-    field = local_time_field(target, levels, n_paths, h, delta, cap=cap,
-                             seed=seed, max_time=max_time)
-    return moment_check(field, target, levels, h, delta,
-                        mean_tolerance=mean_tolerance,
-                        var_tolerance=var_tolerance)
+    field = local_time_field(target, levels, n_paths, h, delta, seed=seed)
+    return moment_check(field, target, levels, h, delta)
 
 
 def moment_check(field: np.ndarray, target: float, levels, h: float,

@@ -40,6 +40,7 @@ from levyexc.models import LevyModel
 from levyexc.paths import EventPath, Segment
 
 __all__ = [
+    "DEFAULT_SEED",
     "RngStream",
     "Horizon",
     "FirstPassage",
@@ -70,6 +71,10 @@ CLOSE_TOL = 1e-9
 
 
 # -- random number streams ---------------------------------------------------
+
+
+# Base seed of every run that is not given one (CLI, suites, rayknight).
+DEFAULT_SEED = 7
 
 
 def _key_part(part) -> int:

@@ -60,9 +60,10 @@ from levyexc.excursions import (
     pre_sup,
     supremum_swap,
 )
-from levyexc.models import ExponentialJumps, LevyModel, jumps_from_config
+from levyexc.models import LevyModel, jumps_from_config, named_model
 from levyexc.paths import EventPath
 from levyexc.simulate import (
+    DEFAULT_SEED,
     FirstPassage,
     RngStream,
     sample_excursions,
@@ -79,6 +80,7 @@ __all__ = [
     "CALIBRATION_SEED",
     "DEFAULT_SUITE_SIZES",
     "SUITE_NAMES",
+    "SUITE_PARAMS",
     "TestReport",
     "SuiteResult",
     "ks_statistic",
@@ -109,7 +111,6 @@ REJECT_ALPHA = 1e-6
 # copy floats verbatim; only sum reassociation (lifetime is a sum of
 # durations read in a different order) can move a digit in the last place.
 EXACT_RTOL = 1e-12
-DEFAULT_SEED = 7
 # Shipped seed of the null-calibration run.  The empirical rejection rate at
 # 1000 repetitions has a ~0.007 standard error around the true ~0.049, so a
 # fixed central seed keeps the shipped check deterministic and stable.
@@ -119,9 +120,9 @@ BLOCK_SIZE = 512
 
 
 def default_model() -> LevyModel:
-    """The model every suite uses unless told otherwise: unit drift with
-    exponential jumps of rate 1 and mean 1/2 (strictly subcritical)."""
-    return LevyModel.from_drift(1.0, ExponentialJumps(1.0, 2.0))
+    """The model every suite uses unless told otherwise: ``bd``, unit drift
+    with exponential jumps of rate 1 and mean 1/2 (strictly subcritical)."""
+    return named_model("bd")
 
 
 # -- two-sample tests ----------------------------------------------------------
@@ -479,18 +480,16 @@ def _width_sampler(model: LevyModel, n: int, stream: RngStream) -> list:
                       for _ in range(k)])
 
 
-def suite_sampler(name: str, **params) -> Callable:
+def suite_sampler(name: str, model: Optional[LevyModel] = None,
+                  **params) -> Callable:
     """The (untransformed) sampler a suite uses for its B half.
 
     Returns a callable ``(model, n, stream) -> list``; useful for drawing
-    histogram data under the same law a suite tests.
+    histogram data under the same law a suite tests.  ``params`` are suite
+    parameters, as for :func:`run_suite`.
     """
-    if name not in _SUITE_BUILDERS:
-        raise ValueError(f"unknown suite {name!r}; known: "
-                         f"{', '.join(SUITE_NAMES)}")
-    model = params.pop("model", None) or default_model()
-    spec = _SUITE_BUILDERS[name](model, params)[0]
-    return spec.sampler_b
+    model = default_model() if model is None else model
+    return _suite_specs(name, model, params)[0].sampler_b
 
 
 # -- suite machinery -----------------------------------------------------------
@@ -570,9 +569,8 @@ def _build_post_sup(model: LevyModel, params: dict) -> list:
 
 
 def _build_killed_passage(model: LevyModel, params: dict) -> list:
-    xs = params.get("x_values", (0.5, 2.0))
     specs = []
-    for x in xs:
+    for x in params["x_values"]:
         if x <= 0.0:
             raise ValueError("passage levels must be positive")
         specs.append(_rotation_spec(
@@ -593,7 +591,7 @@ def _rotation_within_depth(depth: float, original: EventPath,
 
 
 def _build_sup_excursion(model: LevyModel, params: dict) -> list:
-    depth = float(params.get("depth", 0.5))
+    depth = float(params["depth"])
     return [_rotation_spec("sup_excursion_rotation",
                            partial(_killed_sup_sampler, depth),
                            partial(_rotation_within_depth, depth))]
@@ -609,7 +607,7 @@ def _build_loctime_reversal(model: LevyModel, params: dict) -> list:
         _test(f"crossing_count_at_fraction:{q!r}",
               f"crossing_count_at_fraction:{1.0 - q!r}",
               f"crossing_count_at_fraction:{q:g}_vs_{1.0 - q:g}")
-        for q in map(float, params.get("fractions", (0.2, 0.35))))
+        for q in map(float, params["fractions"]))
     return [_SuiteSpec("loctime_reversal", _excursion_sampler,
                        _excursion_sampler, None, tests, None)]
 
@@ -619,7 +617,7 @@ def _build_width_reversal(model: LevyModel, params: dict) -> list:
         _test(f"width_at_fraction:{q!r}",
               f"width_left_at_fraction:{1.0 - q!r}",
               f"width_at_fraction:{q:g}_vs_left_{1.0 - q:g}")
-        for q in map(float, params.get("fractions", (0.2, 0.35))))
+        for q in map(float, params["fractions"]))
     tests += (_test("time_weighted_area", "time_weighted_area_reversed",
                     "time_weighted_area_vs_reversed"),)
     return [_SuiteSpec("width_reversal", _width_sampler, _width_sampler,
@@ -646,7 +644,7 @@ def _mass_loglr(log_inv_factor: float, rate_gap: float,
 
 
 def _build_negative_control(model: LevyModel, params: dict) -> list:
-    factor = float(params.get("mass_factor", 0.8))
+    factor = float(params["mass_factor"])
     if not (factor > 0.0 and math.isfinite(factor)):
         raise ValueError("mass_factor must be positive and finite")
     altered = LevyModel.from_drift(model.drift,
@@ -695,6 +693,27 @@ _SUITE_BUILDERS = {
 }
 
 SUITE_NAMES = tuple(_SUITE_BUILDERS)
+
+# Suite parameters and their defaults; each builder reads the ones it uses.
+SUITE_PARAMS = {
+    "x_values": (0.5, 2.0),  # killed_passage_rotation: passage levels
+    "depth": 0.5,  # sup_excursion_rotation: kill depth
+    "fractions": (0.2, 0.35),  # loctime_reversal, width_reversal
+    "mass_factor": 0.8,  # negative_control: jump-mass factor of the mismatch
+}
+
+
+def _suite_specs(name: str, model: LevyModel, params: dict) -> list:
+    """The specs of suite ``name`` with ``params`` over the defaults."""
+    if name not in _SUITE_BUILDERS:
+        raise ValueError(f"unknown suite {name!r}; known: "
+                         f"{', '.join(SUITE_NAMES)}")
+    unknown = set(params) - set(SUITE_PARAMS)
+    if unknown:
+        raise ValueError(f"unknown suite parameters {sorted(unknown)}; "
+                         f"known: {', '.join(SUITE_PARAMS)}")
+    return _SUITE_BUILDERS[name](model, {**SUITE_PARAMS, **params})
+
 
 # Per-half sample sizes of the default full run.  The invariance suites pass
 # at any size (their null is exactly true), so 2000 keeps them quick.  The
@@ -768,17 +787,16 @@ def run_suite(name: str, model: Optional[LevyModel] = None, n: int = 2000,
     ``identity_null`` replaces the transformation with the identity and
     mirrors the functional pairs, so a correct harness passes at nominal
     rates; it is unavailable for the negative-control suite, whose whole
-    point is to differ.  Extra keyword parameters reach the suite builder
-    (``x_values``, ``depth``, ``fractions``, ``mass_factor``).
+    point is to differ.  Extra keyword parameters are suite parameters,
+    defaulting to :data:`SUITE_PARAMS`; an unknown name raises ValueError.
+    A suite ignores the parameters it does not read, so one set can be
+    handed to every suite (as :func:`run_suites` does).
     """
-    if name not in _SUITE_BUILDERS:
-        raise ValueError(f"unknown suite {name!r}; known: "
-                         f"{', '.join(SUITE_NAMES)}")
     if identity_null and name == "negative_control":
         raise ValueError("the negative-control suite has no null version")
     if model is None:
         model = default_model()
-    specs = _SUITE_BUILDERS[name](model, dict(params))
+    specs = _suite_specs(name, model, params)
     if identity_null:
         specs = [_null_spec(s) for s in specs]
     stream = RngStream(seed).child("verify", name)
@@ -797,24 +815,19 @@ def run_suite(name: str, model: Optional[LevyModel] = None, n: int = 2000,
 
 def run_suites(names=None, model: Optional[LevyModel] = None,
                n: Optional[int] = None, seed: int = DEFAULT_SEED,
-               n_by_suite: Optional[dict] = None, **params) -> list:
+               **params) -> list:
     """Run several suites; returns a list of :class:`SuiteResult`.
 
     When ``n`` is omitted each suite uses its entry in
     :data:`DEFAULT_SUITE_SIZES` (the negative control needs a much larger
-    sample than the invariance suites to reject dependably).  ``n_by_suite``
-    overrides the per-half count for individual suites either way.
+    sample than the invariance suites to reject dependably).  Every suite
+    gets the same suite parameters ``params``.
     """
     if names is None:
         names = SUITE_NAMES
     results = []
     for name in names:
-        if n_by_suite is not None and name in n_by_suite:
-            count = int(n_by_suite[name])
-        elif n is not None:
-            count = int(n)
-        else:
-            count = DEFAULT_SUITE_SIZES.get(name, 2000)
+        count = DEFAULT_SUITE_SIZES.get(name, 2000) if n is None else int(n)
         results.append(run_suite(name, model=model, n=count, seed=seed,
                                  **params))
     return results

@@ -12,7 +12,7 @@ import math
 
 import pytest
 
-from levyexc import simulate
+from levyexc import cli, simulate, verify
 from levyexc.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, EXIT_VERIFY_FAILED, main
 from levyexc.paths import path_from_dict
 from levyexc.trees import MAX_EXPORT_GENERATIONS, tree_from_dict
@@ -321,6 +321,61 @@ class TestHist:
         code, _ = run_cli(capsys, "hist", "--suite", "width_reversal",
                           "--functional", "area", "--n", "50")
         assert code == EXIT_USAGE
+
+
+class TestOptions:
+    # Config keys per subcommand: the flag names with "_" for "-", plus
+    # "suites" for verify --suite and the suite parameters of verify and
+    # hist.
+    SUITE_KEYS = {"x_values", "depth", "fractions", "mass_factor"}
+    CONFIG_KEYS = {
+        "simulate": {"model", "seed", "kind", "n", "stop", "x0",
+                     "min_lifetime", "min_height", "depth"},
+        "tree": {"model", "seed", "n"},
+        "scale-fn": {"model", "h_w", "x_max"},
+        "verify": {"model", "seed", "suites", "n",
+                   "with_calibration"} | SUITE_KEYS,
+        "hist": {"model", "seed", "suite", "functional", "n", "bins",
+                 "min_lifetime", "min_height"} | SUITE_KEYS,
+    }
+
+    def test_config_keys_per_subcommand(self):
+        assert {cmd: set(keys) for cmd, keys in cli._OPTIONS.items()} == \
+            self.CONFIG_KEYS
+        assert set(verify.SUITE_PARAMS) == self.SUITE_KEYS
+
+    @pytest.mark.parametrize("command, doc", [
+        ("verify", {"n_by_suite": {"sup_swap": 10}}),
+        ("scale-fn", {"seed": 1}),
+    ])
+    def test_removed_config_keys_exit_2(self, capsys, tmp_path, command, doc):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        code, out = run_cli(capsys, command, "--config", str(cfg))
+        assert code == EXIT_USAGE
+        assert out == ""
+
+    def test_scale_fn_takes_no_seed(self):
+        with pytest.raises(SystemExit) as info:
+            main(["scale-fn", "--seed", "1"])
+        assert info.value.code == EXIT_USAGE
+
+    def test_null_config_value_takes_the_default(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"functional": "height", "n": 60,
+                                   "bins": None, "depth": None}))
+        code, from_cfg = run_cli(capsys, "hist", "--config", str(cfg))
+        _, direct = run_cli(capsys, "hist", "--functional", "height",
+                            "--n", "60")
+        assert code == EXIT_OK
+        assert from_cfg == direct
+        assert len(direct.splitlines()) == 31
+
+    def test_help_names_table_defaults(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["hist", "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        assert "(default 2000)" in text and "(default sup_swap)" in text
 
 
 class TestParser:

@@ -146,6 +146,19 @@ def test_swap_preserves_pathwise_invariants(e):
     assert sorted(s.jumps()) == sorted(e.jumps())
 
 
+@settings(derandomize=True, deadline=None)
+@given(excursion_paths())
+def test_reflection_transports_crossing_counts(e):
+    # Every grid level, breakpoints included: the half-open conventions of
+    # descending and ascending legs map onto each other exactly.
+    peak = peak_value(e)
+    flipped = pointwise_reflection(e)
+    grid = STEP / 4
+    for k in range(1, int(peak / grid)):
+        r = k * grid
+        assert local_time_count(flipped, r) == local_time_count(e, peak - r)
+
+
 def _typed_fields(p):
     scalars = (p.x0, p.initial_jump)
     return (tuple((type(v), repr(v)) for v in scalars), type(p.segments),

@@ -15,6 +15,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from levyexc import trees
 from levyexc.models import ExponentialJumps
@@ -40,6 +42,39 @@ def worked_tree() -> SplittingTree:
     c1 = TreeNode(1.0, 2.0, [g])
     c2 = TreeNode(2.0, 0.5)
     return SplittingTree(TreeNode(0.0, 3.0, [c1, c2]))
+
+
+# Lifespans are multiples of STEP and births fall on the half-STEP grid
+# strictly inside the parent's life, all distinct, so every level, duration
+# and area the contour and the width compute is an exact dyadic sum.
+STEP = 0.25
+
+
+@st.composite
+def small_trees(draw, max_nodes=12):
+    def node(birth):
+        return TreeNode(birth, draw(st.integers(1, 8)) * STEP)
+
+    root = node(0.0)
+    queue, count = [root], 1
+    while queue and count < max_nodes:
+        parent = queue.pop(0)
+        slots = round(2 * parent.lifespan / STEP) - 1
+        offsets = draw(st.lists(st.integers(1, slots), unique=True,
+                                max_size=min(3, max_nodes - count)))
+        for j in sorted(offsets):
+            child = node(parent.birth_time + j * STEP / 2)
+            parent.children.append(child)
+            queue.append(child)
+        count += len(offsets)
+    return SplittingTree(root)
+
+
+@settings(derandomize=True, deadline=None)
+@given(small_trees())
+def test_contour_matches_width_exactly(tree):
+    assert contour_width_identity(tree)
+    assert jccp(tree).lifetime == width_process(tree).integral()
 
 
 class TestTreeBasics:

@@ -18,6 +18,7 @@ import pytest
 import scipy.stats
 
 from levyexc import verify
+from levyexc.models import named_model
 from levyexc.paths import EventPath
 from levyexc.simulate import RngStream
 from levyexc.verify import (
@@ -417,15 +418,30 @@ class TestRunSuites:
                              seed=DEFAULT_SEED)
         assert [r.suite for r in results] == ["loctime_reversal", "sup_swap"]
 
-    def test_n_by_suite_override(self):
-        results = run_suites(["sup_swap", "loctime_reversal"], n=200,
-                             n_by_suite={"loctime_reversal": 150},
-                             seed=DEFAULT_SEED)
-        assert results[0].reports[0].n_a == 200
-        assert results[1].reports[0].n_a == 150
-
     def test_default_sizes_cover_all_suites(self):
         assert set(DEFAULT_SUITE_SIZES) == set(SUITE_NAMES)
+
+
+class TestSuiteParams:
+    @pytest.mark.parametrize("call", [
+        lambda: run_suite("sup_excursion_rotation", n=50, dept=0.3),
+        lambda: run_suites(["sup_swap"], n=50, x_value=(1.0,)),
+        lambda: suite_sampler("killed_passage_rotation", x_value=(9.0,)),
+    ])
+    def test_misspelled_parameter_raises(self, call):
+        with pytest.raises(ValueError, match="x_values, depth, fractions, "
+                                             "mass_factor"):
+            call()
+
+    def test_parameter_a_suite_does_not_read_is_accepted(self):
+        # run_suites hands every parameter to every suite.
+        assert (reports_to_csv(run_suite("sup_swap", n=100,
+                                         depth=0.3).reports)
+                == reports_to_csv(run_suite("sup_swap", n=100).reports))
+
+
+def test_default_model_is_bd():
+    assert default_model() == named_model("bd")
 
 
 class TestDeterminism:
