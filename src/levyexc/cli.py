@@ -47,6 +47,7 @@ from levyexc.simulate import (
 )
 from levyexc.trees import sample_tree, tree_to_dict
 from levyexc.verify import (
+    CALIBRATION_BAND,
     DEFAULT_SEED,
     SUITE_PARAMS,
     functional_by_name,
@@ -62,9 +63,6 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_RUNTIME = 3
-
-# Acceptance band for the null calibration rate at alpha = 0.05.
-CALIBRATION_BAND = (0.035, 0.065)
 
 _SIMULATE_KINDS = ("path", "excursion", "sup-excursion", "tree")
 

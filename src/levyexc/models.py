@@ -356,8 +356,9 @@ def named_model(name: str) -> LevyModel:
         jumps, subcritical (offspring mean 1/2); the package default.
       - ``bd-critical`` / ``bd-super`` the same family at offspring mean
         1 and 3/2.
-      - ``bd-control`` the deliberately mismatched variant (b=0.8) used
-        by the negative-control suite.
+      - ``bd-control`` ``bd`` with its jump mass scaled by 0.8 (b=0.8).
+        The negative-control suite does not use it: it scales the given
+        model's jump mass by its ``mass_factor`` parameter.
       - ``dirac`` drift 1 with unit-size jumps at rate 1/2, subcritical.
       - ``brownian`` pure Brownian component (alpha=0, beta=1).
       - ``brownian-drift`` Brownian with alpha=1, beta=1.

@@ -265,6 +265,20 @@ class TestVerify:
         assert code == EXIT_OK
         assert "sup_excursion_rotation" in out
 
+    @pytest.mark.parametrize("command, doc", [
+        ("verify", {"suites": []}),
+        ("verify", {"suites": ["killed_passage_rotation"], "x_values": []}),
+        ("verify", {"suites": ["loctime_reversal"], "fractions": []}),
+        ("hist", {"suite": "killed_passage_rotation", "x_values": []}),
+    ])
+    def test_run_that_checks_nothing_exits_2(self, capsys, tmp_path,
+                                             command, doc):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        code, out = run_cli(capsys, command, "--config", str(cfg))
+        assert code == EXIT_USAGE
+        assert out == ""
+
 
 class TestHist:
     def test_row_count_and_mass(self, capsys):

@@ -284,7 +284,7 @@ class TestExtractSupExcursions:
         # that has already reached that depth (relative to its opening
         # record, which is >= 0), so no kept excursion is censored.  Most
         # killed excursions have no jump before the kill (lifetime 0.5 and
-        # area -0.125 exactly), so the asymptotic p-values are conservative;
+        # area -0.125 exactly), so the tie-free p-values are conservative;
         # a kill at another depth moves that atom and is rejected outright.
         stream = RngStream(61).child("extract_sup_law")
         g = stream.child("paths").generator()

@@ -11,11 +11,15 @@ import itertools
 import json
 import math
 from dataclasses import replace
+from functools import partial
 from operator import methodcaller
 
 import numpy as np
 import pytest
+import scipy.special
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from levyexc import verify
 from levyexc.models import named_model
@@ -23,6 +27,7 @@ from levyexc.paths import EventPath
 from levyexc.simulate import RngStream
 from levyexc.verify import (
     _FUNCTIONALS,
+    CALIBRATION_BAND,
     CALIBRATION_SEED,
     DEFAULT_SEED,
     DEFAULT_SUITE_SIZES,
@@ -32,7 +37,6 @@ from levyexc.verify import (
     default_model,
     functional_by_name,
     ks_null_calibration,
-    ks_statistic,
     ks_two_sample,
     permutation_ks,
     reports_to_csv,
@@ -43,6 +47,27 @@ from levyexc.verify import (
 )
 
 EXC = EventPath(1.0, 1.0, ((0.5, -1.0, 2.0), (2.5, -1.0, 0.0)))
+
+
+def ecdf_distance(a, b) -> float:
+    """KS distance read off both empirical CDFs on the grid of pooled
+    values; independent of the sort the harness uses."""
+    grid = np.unique(np.concatenate([a, b]))
+    cdf_a = np.searchsorted(np.sort(a), grid, side="right") / len(a)
+    cdf_b = np.searchsorted(np.sort(b), grid, side="right") / len(b)
+    return float(np.max(np.abs(cdf_a - cdf_b)))
+
+
+def first_rejecting_k(tail, n: int, alpha: float) -> int:
+    """Smallest k in 1..n with tail(k) <= alpha; tail decreases in k."""
+    lo, hi = 1, n
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if tail(mid) <= alpha:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
 
 class TestKsTwoSample:
@@ -65,22 +90,61 @@ class TestKsTwoSample:
         assert d == 1.0
         assert p < 1e-6
 
-    def test_matches_scipy_asymptotic(self):
-        g = RngStream(11).child("scipy").generator()
-        a = g.standard_normal(800)
-        b = g.standard_normal(900) + 0.05
+    @pytest.mark.parametrize("n", [50, 400, 2000])
+    def test_matches_scipy_exact_on_equal_halves(self, n):
+        g = RngStream(11).child("ks_2samp_equal", n).generator()
+        for shift in (0.0, 0.1, 0.3):
+            a = g.standard_normal(n)
+            b = g.standard_normal(n) + shift
+            d, p = ks_two_sample(a, b)
+            ref = scipy.stats.ks_2samp(a, b, method="exact")
+            assert d == pytest.approx(ref.statistic, rel=0, abs=1e-15)
+            assert abs(p - ref.pvalue) <= 1e-12
+
+    def test_unequal_halves_take_the_permutation_p(self):
+        g = RngStream(11).child("unequal").generator()
+        a = g.standard_normal(300)
+        b = g.standard_normal(340) + 0.1
+        assert ks_two_sample(a, b) == permutation_ks(a, b)
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(st.integers(2, 12).flatmap(lambda n: st.tuples(
+        st.lists(st.integers(0, 3), min_size=n, max_size=n),
+        st.lists(st.integers(0, 3), min_size=n, max_size=n))))
+    def test_tied_equal_halves_bound_the_exact_p(self, halves):
+        # Ties only hide steps of a relabelling's CDF gap, so the tie-free
+        # tail can only overstate the exact permutation p.
+        a, b = (np.asarray(h, dtype=float) for h in halves)
         d, p = ks_two_sample(a, b)
-        ref = scipy.stats.ks_2samp(a, b, method="asymp")
-        assert d == pytest.approx(ref.statistic, rel=0, abs=1e-15)
-        # scipy's asymptotic mode applies a slightly different finite-size
-        # evaluation; agreement to a few percent is the right check.
-        assert p == pytest.approx(ref.pvalue, rel=0.05, abs=1e-12)
+        d_exact, p_exact = permutation_ks(a, b)
+        assert d == d_exact
+        assert p >= p_exact - 1e-12
+
+    @pytest.mark.parametrize("n", [2000, 10000, 20000, 40000])
+    @pytest.mark.parametrize("alpha", [0.05, 1e-3, 1e-6])
+    def test_cutoffs_match_the_asymptotic_rule(self, n, alpha):
+        # At the suite sizes the exact tail rejects from the same k as the
+        # asymptotic Kolmogorov rule at every threshold the suites use.
+        exact = first_rejecting_k(
+            partial(verify._equal_halves_tail, n), n, alpha)
+        asymptotic = first_rejecting_k(
+            lambda k: scipy.special.kolmogorov(math.sqrt(n / 2) * k / n),
+            n, alpha)
+        assert exact == asymptotic
+
+    def test_cutoff_exception_at_small_n(self):
+        # Below the suite sizes the two rules can part: at n = 400 and
+        # 1e-6 the exact tail rejects from k = 76, the asymptotic from 77.
+        exact = first_rejecting_k(
+            partial(verify._equal_halves_tail, 400), 400, 1e-6)
+        assert exact == 76
+        assert scipy.special.kolmogorov(math.sqrt(200) * 76 / 400) > 1e-6
 
     def test_statistic_with_ties(self):
         # Largest CDF gap is at 0.5: F_a = 3/6 vs F_b = 1/4.
         a = np.array([0.0, 0.5, 0.5, 1.0, 2.0, 3.0])
         b = np.array([0.5, 1.0, 1.0, 2.0])
-        assert ks_statistic(a, b) == pytest.approx(3 / 6 - 1 / 4)
+        assert ks_two_sample(a, b)[0] == pytest.approx(3 / 6 - 1 / 4)
 
     def test_rejects_empty_or_2d(self):
         with pytest.raises(ValueError):
@@ -95,7 +159,7 @@ class TestPermutationKs:
         a = g.integers(0, 6, 300).astype(float)
         b = g.integers(0, 6, 400).astype(float)
         d, _ = permutation_ks(a, b)
-        assert d == ks_statistic(a, b)
+        assert d == pytest.approx(ecdf_distance(a, b), rel=0, abs=1e-15)
 
     def test_separated_samples_hit_the_floor(self):
         # Only the two labellings that put every 0 on one side reach D = 1.
@@ -148,7 +212,7 @@ def exact_permutation_p(a, b) -> float:
     in_a = labels.astype(int) @ below.T
     in_b = (~labels).astype(int) @ below.T
     d = np.max(np.abs(in_a / n_a - in_b / n_b), axis=1)
-    return float(np.mean(d >= ks_statistic(a, b) - 1e-12))
+    return float(np.mean(d >= ecdf_distance(a, b) - 1e-12))
 
 
 def tied_case(i: int) -> tuple:
@@ -165,7 +229,7 @@ class TestPermutationOracle:
     def test_p_matches_full_enumeration(self, case):
         a, b = tied_case(case)
         d, p = permutation_ks(a, b)
-        assert d == ks_statistic(a, b)
+        assert d == pytest.approx(ecdf_distance(a, b), rel=0, abs=1e-15)
         assert abs(p - exact_permutation_p(a, b)) <= 1e-12
 
 
@@ -173,7 +237,8 @@ class TestNullCalibration:
     def test_rate_in_band_at_acceptance_settings(self):
         # Band around the nominal 0.05 at 1000 repetitions, shipped seed.
         rate = ks_null_calibration(n=2000, repetitions=1000, alpha=0.05)
-        assert 0.035 <= rate <= 0.065
+        lo, hi = CALIBRATION_BAND
+        assert lo <= rate <= hi
 
     def test_deterministic(self):
         r1 = ks_null_calibration(n=200, repetitions=50, seed=3)
@@ -191,7 +256,8 @@ class TestNullCalibration:
             x = g.poisson(3.0, 1000).astype(float)
             _, p = permutation_ks(x[:500], x[500:])
             rejections += p <= 0.05
-        assert 0.035 <= rejections / 1000 <= 0.065
+        lo, hi = CALIBRATION_BAND
+        assert lo <= rejections / 1000 <= hi
 
 
 class TestFunctionalByName:
@@ -431,6 +497,16 @@ class TestSuiteParams:
     def test_misspelled_parameter_raises(self, call):
         with pytest.raises(ValueError, match="x_values, depth, fractions, "
                                              "mass_factor"):
+            call()
+
+    @pytest.mark.parametrize("call", [
+        lambda: run_suites([]),
+        lambda: run_suite("killed_passage_rotation", x_values=()),
+        lambda: run_suite("loctime_reversal", fractions=()),
+        lambda: suite_sampler("killed_passage_rotation", x_values=()),
+    ])
+    def test_run_that_checks_nothing_raises(self, call):
+        with pytest.raises(ValueError, match="no suites|checks nothing"):
             call()
 
     def test_parameter_a_suite_does_not_read_is_accepted(self):
