@@ -182,6 +182,9 @@ def _cmd_simulate(args) -> int:
     condition = _parse_condition(args.min_lifetime, args.min_height)
     if n < 1:
         raise ValueError("need n >= 1")
+    if args.kind != "excursion" and not isinstance(condition, AnyExcursion):
+        raise ValueError("min_lifetime / min_height condition --kind "
+                         "excursion only")
     lines = _simulate_lines(model, args.kind, n, args.stop, x0, condition,
                             depth, int(args.seed))
     _emit("".join(line + "\n" for line in lines), args.output)
@@ -233,9 +236,11 @@ def _cmd_verify(args) -> int:
     all_passed = all(r.passed for r in results)
     for r in results:
         worst = min((rep.p_value for rep in r.reports), default=1.0)
+        vacuous = "".join(f"; vacuous: every required row of {label} pools "
+                          "one value" for label in r.vacuous)
         print(f"verify: {r.suite}: {'ok' if r.passed else 'FAILED'} "
               f"(min p = {worst:.3g}, exact {r.exact_checked - r.exact_failures}"
-              f"/{r.exact_checked})", file=sys.stderr)
+              f"/{r.exact_checked}{vacuous})", file=sys.stderr)
 
     calibration_rate = None
     if args.with_calibration:

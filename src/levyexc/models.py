@@ -297,8 +297,8 @@ class LevyModel:
         closed forms W(x) = x/beta and W(x) = (1 - exp(-alpha x/beta))/alpha.
         Brownian components combined with jumps are not supported.
         """
-        if x_max <= 0 or h <= 0:
-            raise ValueError("x_max and h must be positive")
+        if not (0.0 < x_max < math.inf and 0.0 < h < math.inf):
+            raise ValueError("x_max and h must be positive and finite")
         n = int(round(x_max / h))
         xs = np.arange(n + 1) * h
         if self.beta > 0.0:

@@ -19,14 +19,12 @@ Design notes
   induces dependence that standard two-sample tests do not license.
 - Suites name their functionals by catalog spec (``"area"``,
   ``"value_at_fraction:0.3"``), and one table maps each name to its
-  evaluator and to whether it is integer-valued.  Every row reads the KS
-  distance D off one sort of the pool and takes p from the permutation law
-  of D, so it is a pure function of its two samples.  Integer-valued rows
-  sum that law exactly over the tie groups; the others take the closed-form
-  tail for tie-free equal halves, exact without ties and an upper bound on
-  the exact p with them.  Non-integer rows can carry an atom (max_jump 0 of
-  a jump-free path, area 0 of an empty pre-supremum piece, a jump-free
-  killed path), and those rows err towards passing.
+  evaluator.  Every row reads the KS distance D off one sort of the pool
+  and takes the exact p of its permutation law, so it is a pure function
+  of its two samples; the pool only picks how that law is summed.  Ties
+  are common (every count, max_jump 0 of a jump-free path, area 0 of an
+  empty pre-supremum piece, a jump-free killed path).  A spec whose
+  required rows each pool one value tests nothing and fails as vacuous.
 - Sampling is conditioned to a positive-finite-mass event (everything here
   uses the unconditioned excursion law, a first-passage law, or a
   reach-a-depth conditioning).  What licenses testing an identity on
@@ -101,9 +99,8 @@ __all__ = [
 # k rows rejects a true identity with probability at most k * 1e-3: at most
 # 0.8% for killed_passage_rotation, which gates 8 rows, and at most 3.1% for
 # a full `levyexc verify` run at a fresh seed, whose invariance suites gate
-# 31 rows in all.  Every row's p is exact or, on a non-integer row with ties,
-# an upper bound on the exact p, so a true null makes it <= 1e-3 with chance
-# at most 1e-3 (less under ties).
+# 31 rows in all.  Every row's p is the exact permutation p, so a true null
+# makes it <= 1e-3 with chance at most 1e-3.
 PER_FUNCTIONAL_ALPHA = 1e-3
 # Threshold for tests that are *supposed* to reject (negative controls).
 REJECT_ALPHA = 1e-6
@@ -169,19 +166,17 @@ def _equal_halves_tail(n: int, k: int) -> float:
 
 
 def ks_two_sample(a, b) -> tuple:
-    """(D, p) for the two-sample Kolmogorov-Smirnov test.
+    """(D, p) for the two-sample Kolmogorov-Smirnov test, p exact.
 
-    For equal halves the p-value is the closed-form permutation tail
-    (:func:`_equal_halves_tail`): exact on a tie-free pool, an upper bound
-    on the exact p under ties.  Unequal halves take :func:`permutation_ks`.
-    Degenerate input (all pooled values equal) gives D = 0 and p = 1.
+    Equal halves on a tie-free pool take the closed-form tail
+    (:func:`_equal_halves_tail`); every other pool takes
+    :func:`permutation_ks`.  Degenerate input (all pooled values equal)
+    gives D = 0 and p = 1.
     """
-    a = _as_sample(a, "a")
-    b = _as_sample(b, "b")
-    if a.size != b.size:
-        return permutation_ks(a, b)
-    d = _tie_groups(a, b)[1]
-    return d, _equal_halves_tail(a.size, round(d * a.size))
+    sizes, d = _tie_groups(a, b)
+    if np.size(a) == np.size(b) == sizes.size / 2:
+        return d, _equal_halves_tail(np.size(a), round(d * np.size(a)))
+    return permutation_ks(a, b)
 
 
 # Stirling-series coefficients of log(n!) - log(sqrt(2 pi n) (n / e)^n).
@@ -228,47 +223,77 @@ def _binom_pmf(n, k, p: float) -> np.ndarray:
     return np.where(inner, inner_pmf, edge)
 
 
+def _killed_walk(mass, t, k: int, r: int) -> np.ndarray:
+    """``mass`` at t = S + k in (0, 2k) after r fair +-1 steps of S killed
+    at +-k, over t mod 4k: by the method of images, its odd 4k-periodic
+    extension convolved with the Binomial(r, 1/2) step law (cut below e^-40,
+    folded mod 4k), by FFT at a power-of-two length of at least 8k."""
+    period = 4 * k
+    ext = np.zeros(period)
+    ext[t], ext[period - t] = mass, -mass
+    j = np.flatnonzero((2 * np.arange(r + 1) - r) ** 2 <= 80 * r)
+    kernel = np.bincount((2 * j - r) % period, _binom_pmf(r, j, 0.5), period)
+    size = 1 << (2 * period - 1).bit_length()
+    out = np.fft.irfft(np.fft.rfft(ext, size) * np.fft.rfft(kernel, size))
+    return out[:period] + out[period:2 * period]
+
+
 def permutation_ks(a, b) -> tuple:
     """(D, p) for the KS statistic with its exact permutation null.
 
-    Valid under arbitrary ties, hence used for integer-valued functionals.
-    The p-value is the share of all C(N, n_a) relabellings of the pool whose
-    D reaches the observed one, counted as lattice paths over the tie groups
-    (Schroer & Trenkler 1995).  Drawing every pooled value into A
-    independently with chance n_a/N and conditioning on n_a draws gives the
-    uniform relabelling, so a dynamic programme carries the A count K
-    through each group by a Binomial(g, n_a/N) convolution.  A state where
-    |K/n_a - (M - K)/n_b| reaches D leaves it, weighted by the chance that
-    the rest of the pool holds the missing n_a - K; the exceedance mass is
-    divided by the chance of n_a in all.
+    Valid under arbitrary ties: the share of the C(N, n_a) relabellings of
+    the pool whose D reaches the observed one, summed over the tie groups
+    (Schroer & Trenkler 1995).  Drawing each pooled value into A with
+    chance n_a/N and conditioning on n_a draws gives the uniform
+    relabelling, so a dynamic programme carries the A count K through each
+    group by a Binomial(g, n_a/N) convolution.  A state where
+    |K/n_a - (M - K)/n_b| reaches D exits, weighted by the chance that the
+    rest of the pool holds the missing n_a - K; the exits are divided by
+    the chance of n_a in all.  With equal halves a run of singleton groups
+    moves S = 2K - M by fair +-1 steps killed at +-D n_a (_killed_walk),
+    and its exits are the weighted mass it loses, exact to about 1e-15.
     """
     sizes, observed = _tie_groups(a, b)
+    if observed == 0.0:
+        return 0.0, 1.0
     n_a = np.asarray(a).size
     n = int(sizes.sum())
     n_b = n - n_a
     p_a = n_a / n
     steps = {g: _binom_pmf(g, np.arange(g + 1), p_a)
              for g in np.unique(sizes).tolist()}
+    barrier = round(observed * n_a)  # |S| at D, with equal halves
+    single = (sizes == 1) & (n_a == n_b)  # a run of these is one walk step
+    starts = np.flatnonzero(~single | ~np.append(False, single[:-1]))
+    segments = zip(np.add.reduceat(sizes, starts).tolist(),
+                   single[starts].tolist())
     mass = np.ones(1)  # over K = lo, lo + 1, ...
     lo = m = 0
-    hits = []  # per group: (pool left, A count it must hold, mass) of exits
-    for g in sizes.tolist():
+    hits = []  # per step: (pool left, A count it must hold, mass) of exits
+    for g, run in segments:
         m += g
-        mass = np.convolve(mass, steps[g])
-        # Keep only counts from which n_a is still reachable.
-        first, last = max(lo, n_a - (n - m)), min(lo + mass.size - 1, n_a, m)
-        mass, lo = mass[first - lo:last + 1], first
-        k = np.arange(lo, lo + mass.size)
-        hit = np.abs(k / n_a - (m - k) / n_b) >= observed - 1e-12
-        hits.append((np.full(np.count_nonzero(hit), n - m), n_a - k[hit],
-                     mass[hit]))
-        kept = np.flatnonzero(~hit)
-        if kept.size == 0:
+        if run:  # exits: the weighted mass the walk loses, at pmf(0, 0) = 1
+            k = np.arange(lo, lo + mass.size)
+            held = np.dot(mass, _binom_pmf(n - m + g, n_a - k, p_a))
+            walked = _killed_walk(mass, 2 * k - (m - g) + barrier, barrier, g)
+            t0 = 1 + (m - barrier + 1) % 2  # first t in (0, 2k) with K whole
+            mass, lo = walked[t0:2 * barrier:2], (t0 - barrier + m) // 2
+            k = np.arange(lo, lo + mass.size)
+            held -= np.dot(mass, _binom_pmf(n - m, n_a - k, p_a))
+            hits.append(([0], [0], [held]))
+            hit = np.zeros(mass.size, dtype=bool)
+        else:
+            mass = np.convolve(mass, steps[g])
+            k = np.arange(lo, lo + mass.size)
+            hit = np.abs(k / n_a - (m - k) / n_b) >= observed - 1e-12
+            hits.append((np.full(np.count_nonzero(hit), n - m), n_a - k[hit],
+                         mass[hit]))
+        if hit.all():
             break
-        # |K/n_a - (M - K)/n_b| grows with K, so the kept counts are a run.
-        mass, lo = mass[kept[0]:kept[-1] + 1], lo + int(kept[0])
+        # |K/n_a - (M - K)/n_b| is V-shaped in K, so the kept counts are a run.
+        mass, lo = mass[~hit], lo + int(np.argmax(~hit))
     rest, need, weight = map(np.concatenate, zip(*hits))
-    exceed = float(np.dot(weight, _binom_pmf(rest, need, p_a)))
+    exceed = max(0.0, float(np.dot(weight, _binom_pmf(rest, need, p_a))))
     return observed, min(1.0, exceed / float(_binom_pmf(n, n_a, p_a)))
 
 
@@ -319,21 +344,20 @@ def _width_left_at_fraction(q: float, wid: WidthProcess) -> float:
 
 class _Functional(NamedTuple):
     evaluate: Callable  # f(obj), or f(q, obj) when ``fraction`` is set
-    integer: bool = False  # integer-valued: p by the tie-group programme
     fraction: bool = False  # takes a ':q' parameter with 0 < q < 1
 
 
-# Every catalog functional, declared once.  ``integer`` decides the test kind
-# of every suite comparison and ``fraction`` the spec syntax.  The benchmark's
-# tracer swaps pre_sup, post_sup, supremum_swap, local_time_count and
-# EventPath.rotate for timing wrappers by attribute, so they are looked up at
-# call time (inside the evaluators and builders) and never held here.
+# Every catalog functional, declared once; ``fraction`` sets the spec syntax.
+# The benchmark's tracer swaps pre_sup, post_sup, supremum_swap,
+# local_time_count and EventPath.rotate for timing wrappers by attribute, so
+# they are looked up at call time (inside the evaluators and builders) and
+# never held here.
 _FUNCTIONALS = {
     "lifetime": _Functional(attrgetter("lifetime")),
     "height": _Functional(peak_value),
     "argmax_time": _Functional(argmax_time),
     "area": _Functional(EventPath.area),
-    "jump_count": _Functional(EventPath.jump_count, integer=True),
+    "jump_count": _Functional(EventPath.jump_count),
     "max_jump": _Functional(EventPath.max_jump),
     "time_weighted_area": _Functional(WidthProcess.time_weighted_integral),
     "time_weighted_area_reversed": _Functional(
@@ -342,31 +366,11 @@ _FUNCTIONALS = {
     "pre_value_at_fraction": _Functional(_pre_value_at_fraction,
                                          fraction=True),
     "crossing_count_at_fraction": _Functional(_loctime_at_fraction,
-                                              integer=True, fraction=True),
-    "width_at_fraction": _Functional(_width_at_fraction, integer=True,
-                                     fraction=True),
+                                              fraction=True),
+    "width_at_fraction": _Functional(_width_at_fraction, fraction=True),
     "width_left_at_fraction": _Functional(_width_left_at_fraction,
-                                          integer=True, fraction=True),
+                                          fraction=True),
 }
-
-
-def _lookup(spec: str) -> tuple:
-    """(callable, integer-valued) for a catalog spec."""
-    name, _, param = spec.partition(":")
-    entry = _FUNCTIONALS.get(name)
-    if entry is None:
-        raise ValueError(f"unknown functional {spec!r}; known: "
-                         f"{', '.join(sorted(_FUNCTIONALS))}")
-    if not entry.fraction:
-        if param:
-            raise ValueError(f"functional {name!r} takes no parameter")
-        return entry.evaluate, entry.integer
-    if not param:
-        raise ValueError(f"functional {name!r} needs a ':q' parameter")
-    q = float(param)
-    if not 0.0 < q < 1.0:
-        raise ValueError("fraction parameter must lie in (0, 1)")
-    return partial(entry.evaluate, q), entry.integer
 
 
 def functional_by_name(spec: str) -> Callable:
@@ -375,7 +379,21 @@ def functional_by_name(spec: str) -> Callable:
     Fraction-parameterised functionals require a ``:q`` suffix with
     0 < q < 1; plain ones reject any parameter.
     """
-    return _lookup(spec)[0]
+    name, _, param = spec.partition(":")
+    entry = _FUNCTIONALS.get(name)
+    if entry is None:
+        raise ValueError(f"unknown functional {spec!r}; known: "
+                         f"{', '.join(sorted(_FUNCTIONALS))}")
+    if not entry.fraction:
+        if param:
+            raise ValueError(f"functional {name!r} takes no parameter")
+        return entry.evaluate
+    if not param:
+        raise ValueError(f"functional {name!r} needs a ':q' parameter")
+    q = float(param)
+    if not 0.0 < q < 1.0:
+        raise ValueError("fraction parameter must lie in (0, 1)")
+    return partial(entry.evaluate, q)
 
 
 # -- reports -------------------------------------------------------------------
@@ -429,6 +447,7 @@ class SuiteResult:
     passed: bool
     exact_checked: int
     exact_failures: int
+    vacuous: tuple = ()  # labels of specs that failed by the vacuous rule
 
 
 # -- samplers ------------------------------------------------------------------
@@ -513,7 +532,6 @@ class _TestDef:
     functional: str
     f_a: Callable
     f_b: Callable
-    permutation: bool = False  # tie-group permutation KS; else closed form
     required: bool = True
     expect_reject: bool = False
 
@@ -521,12 +539,9 @@ class _TestDef:
 def _test(spec: str, spec_b: Optional[str] = None,
           label: Optional[str] = None, **flags) -> _TestDef:
     """Catalog functional ``spec`` on half A against ``spec_b`` (default the
-    same) on half B, reported as ``label`` (default ``spec``).  The table
-    picks how the p-value is summed: over the tie groups when either side is
-    integer-valued."""
-    f_a, integer_a = _lookup(spec)
-    f_b, integer_b = _lookup(spec_b or spec)
-    return _TestDef(label or spec, f_a, f_b, integer_a or integer_b, **flags)
+    same) on half B, reported as ``label`` (default ``spec``)."""
+    return _TestDef(label or spec, functional_by_name(spec),
+                    functional_by_name(spec_b or spec), **flags)
 
 
 @dataclass(frozen=True)
@@ -670,8 +685,8 @@ def _build_negative_control(model: LevyModel, params: dict) -> list:
     # c^-(N-1) * exp(-(1-c) * b * T) between them, so
     # S = log(1/c) * N - (1-c) * b * T is the log-likelihood ratio up to a
     # constant: the Neyman-Pearson statistic for this pair, whatever the jump
-    # family or factor.  S is continuous because T is, so it takes the
-    # closed-form tail like every row that is not integer-valued.
+    # family or factor.  S is continuous because T is, so its pool is
+    # tie-free and takes the closed-form tail.
     loglr = partial(_mass_loglr, -math.log(factor),
                     (1.0 - factor) * model.jumps.mass)
     gate = _TestDef("loglr_mass_mismatch", loglr, loglr, expect_reject=True)
@@ -746,7 +761,7 @@ DEFAULT_SUITE_SIZES["negative_control"] = 40000
 
 def _run_spec(spec: _SuiteSpec, model: LevyModel, n: int, stream: RngStream,
               seed: int) -> tuple:
-    """Run one spec; returns (reports, passed, checked, failures)."""
+    """Run one spec; returns (reports, passed, checked, failures, vacuous)."""
     objs_a = spec.sampler_a(model, n, stream.child("A"))
     objs_b = spec.sampler_b(model, n, stream.child("B"))
     checked = failures = 0
@@ -765,23 +780,25 @@ def _run_spec(spec: _SuiteSpec, model: LevyModel, n: int, stream: RngStream,
     model_json = json.dumps(model.to_config(), sort_keys=True)
     reports = []
     passed = True
+    constant = []  # per required row: one pooled value, a point-mass law
     for test in spec.tests:
         x_a = np.asarray([test.f_a(o) for o in transformed], dtype=float)
         x_b = np.asarray([test.f_b(o) for o in objs_b], dtype=float)
-        test_fn = permutation_ks if test.permutation else ks_two_sample
-        stat, p = test_fn(x_a, x_b)
+        stat, p = ks_two_sample(x_a, x_b)
         if test.expect_reject:
             verdict = "Reject" if p < REJECT_ALPHA else "Pass"
             ok = verdict == "Reject"
         else:
             verdict = "Pass" if p > PER_FUNCTIONAL_ALPHA else "Reject"
             ok = verdict == "Pass"
-        if test.required and not ok:
-            passed = False
+        if test.required:
+            passed = passed and ok
+            constant.append(x_a.min() == x_a.max() == x_b.min() == x_b.max())
         reports.append(TestReport(spec.label, test.functional, x_a.size,
                                   x_b.size, stat, p, verdict, seed,
                                   model_json))
-    return reports, passed and failures == 0, checked, failures
+    vacuous = bool(constant) and all(constant)
+    return reports, passed and failures == 0, checked, failures, vacuous
 
 
 def _null_spec(spec: _SuiteSpec) -> _SuiteSpec:
@@ -821,14 +838,17 @@ def run_suite(name: str, model: Optional[LevyModel] = None, n: int = 2000,
     reports: list = []
     passed = True
     checked = failures = 0
+    vacuous = []
     for spec in specs:
         sub = stream.child(spec.label)
-        rep, ok, chk, fail = _run_spec(spec, model, n, sub, seed)
+        rep, ok, chk, fail, empty = _run_spec(spec, model, n, sub, seed)
         reports.extend(rep)
-        passed = passed and ok
+        passed = passed and ok and not empty
         checked += chk
         failures += fail
-    return SuiteResult(name, tuple(reports), passed, checked, failures)
+        vacuous += [spec.label] if empty else []
+    return SuiteResult(name, tuple(reports), passed, checked, failures,
+                       tuple(vacuous))
 
 
 def run_suites(names=None, model: Optional[LevyModel] = None,

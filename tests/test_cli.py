@@ -131,6 +131,18 @@ class TestSimulate:
                           "--min-lifetime", "1", "--min-height", "1")
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("argv", [
+        ("--kind", "path", "--min-height", "1"),
+        ("--kind", "sup-excursion", "--min-lifetime", "3"),
+        ("--kind", "tree", "--min-lifetime", "5"),
+    ])
+    def test_condition_nothing_reads_exits_2(self, capsys, argv):
+        # Only --kind excursion is conditioned; elsewhere the condition
+        # would be dropped without a word.
+        code, out = run_cli(capsys, "simulate", *argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+
     def test_brownian_event_paths_rejected(self, capsys):
         # exact event-driven sampling is a finite-variation construction
         code, _ = run_cli(capsys, "simulate", "--model", "brownian",
@@ -223,6 +235,13 @@ class TestScaleFn:
         assert values[0] == pytest.approx(1.0)  # W(0) = 1/d
         assert all(b >= a for a, b in zip(values, values[1:]))
 
+    @pytest.mark.parametrize("flag", ["--x-max", "--h-w"])
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_grid_exits_2(self, capsys, flag, value):
+        code, out = run_cli(capsys, "scale-fn", flag, value)
+        assert code == EXIT_USAGE
+        assert out == ""
+
 
 class TestVerify:
     def test_invariance_suite_passes_exit_0(self, capsys):
@@ -256,6 +275,19 @@ class TestVerify:
         assert doc["suites"][0]["passed"] is True
         assert doc["calibration_rate"] is None
         assert all(r["verdict"] == "Pass" for r in doc["reports"])
+
+    def test_vacuous_suite_fails(self, capsys):
+        # Under the dirac model every required row of this suite pools one
+        # value, so each reads D = 0 and p = 1 and checks nothing.
+        code = main(["verify", "--model", "dirac", "--suite",
+                     "sup_excursion_rotation", "--n", "2000", "--json"])
+        captured = capsys.readouterr()
+        assert code == EXIT_VERIFY_FAILED
+        assert "vacuous" in captured.err
+        doc = json.loads(captured.out)
+        assert doc["suites"][0]["passed"] is False
+        assert all(r["statistic"] == 0.0 and r["p_value"] == 1.0
+                   and r["verdict"] == "Pass" for r in doc["reports"])
 
     def test_suite_params_via_config(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"

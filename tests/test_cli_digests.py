@@ -7,7 +7,9 @@ import hashlib
 import importlib.util
 from pathlib import Path
 
-from levyexc.cli import EXIT_OK, build_parser, main
+import json
+
+from levyexc.cli import EXIT_OK, EXIT_VERIFY_FAILED, build_parser, main
 
 _PATH = Path(__file__).resolve().parent.parent / "tools" / "cli_digests.py"
 _SPEC = importlib.util.spec_from_file_location("cli_digests", _PATH)
@@ -28,4 +30,33 @@ def test_digest_is_sha256_of_stdout(capsys):
     assert main(argv) == EXIT_OK
     out = capsys.readouterr().out
     assert cli_digests.digest(argv) == (
-        EXIT_OK, hashlib.sha256(out.encode()).hexdigest())
+        EXIT_OK, hashlib.sha256(out.encode()).hexdigest(), out)
+
+
+def test_rows_lists_every_report_of_a_verify_run(capsys):
+    argv = ["verify", "--suite", "loctime_reversal", "--n", "400",
+            "--seed", "1", "--json"]
+    code, _, out = cli_digests.digest(argv)
+    assert code == EXIT_VERIFY_FAILED
+    reports = json.loads(out)["reports"]
+    rows = cli_digests.report_rows(argv, out)
+    assert len(rows) == len(reports) == 2
+    fields = rows[1].split("\t")
+    assert fields[:3] == [" ".join(argv), "loctime_reversal",
+                          "crossing_count_at_fraction:0.35_vs_0.65"]
+    assert float(fields[3]) == reports[1]["p_value"]
+    assert fields[4] == "Reject"
+
+
+def test_rows_flag_prints_rows_after_verify_runs(capsys, monkeypatch):
+    monkeypatch.setattr(cli_digests, "SEEDED_RUNS",
+                        (("verify", "--json", "--suite", "width_reversal",
+                          "--n", "200"),))
+    monkeypatch.setattr(cli_digests, "PLAIN_RUNS", (("scale-fn",),))
+    assert cli_digests.main(["--seeds", "3", "--rows"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    # scale-fn digest, verify digest, then one row per width_reversal report
+    assert len(lines) == 2 + 3
+    assert [len(line.split("\t")) for line in lines] == [3, 3, 5, 5, 5]
+    assert all(line.startswith("verify --json --suite width_reversal")
+               for line in lines[1:])

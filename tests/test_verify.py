@@ -26,7 +26,6 @@ from levyexc.models import named_model
 from levyexc.paths import EventPath
 from levyexc.simulate import RngStream
 from levyexc.verify import (
-    _FUNCTIONALS,
     CALIBRATION_BAND,
     CALIBRATION_SEED,
     DEFAULT_SEED,
@@ -111,14 +110,27 @@ class TestKsTwoSample:
     @given(st.integers(2, 12).flatmap(lambda n: st.tuples(
         st.lists(st.integers(0, 3), min_size=n, max_size=n),
         st.lists(st.integers(0, 3), min_size=n, max_size=n))))
-    def test_tied_equal_halves_bound_the_exact_p(self, halves):
-        # Ties only hide steps of a relabelling's CDF gap, so the tie-free
-        # tail can only overstate the exact permutation p.
+    def test_tied_equal_halves_take_the_exact_p(self, halves):
+        # A pool with ties leaves the closed-form tail, which would only
+        # bound the exact p, for the tie-group sum.
         a, b = (np.asarray(h, dtype=float) for h in halves)
         d, p = ks_two_sample(a, b)
         d_exact, p_exact = permutation_ks(a, b)
         assert d == d_exact
-        assert p >= p_exact - 1e-12
+        assert abs(p - p_exact) <= 1e-12
+
+    def test_atom_row_reads_its_exact_p(self):
+        # A jump-free path's max_jump is 0: an atom below distinct values.
+        # The tie-free tail of the same D reads 0.283 against 0.152.
+        a = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.1, 1.2])
+        b = np.array([0.0, 0.0, 0.0, 0.0, 1.3, 1.4, 1.5, 1.6])
+        d, p = ks_two_sample(a, b)
+        assert d == 0.5
+        assert p == pytest.approx(exact_permutation_p(a, b), rel=0,
+                                  abs=1e-12)
+        assert p == pytest.approx(0.1515151515, rel=1e-9)
+        assert verify._equal_halves_tail(8, 4) == pytest.approx(0.2826728827,
+                                                                rel=1e-9)
 
     @pytest.mark.parametrize("n", [2000, 10000, 20000, 40000])
     @pytest.mark.parametrize("alpha", [0.05, 1e-3, 1e-6])
@@ -172,6 +184,27 @@ class TestPermutationKs:
     def test_single_value_pool(self):
         assert permutation_ks(np.full(7, 3.0), np.full(4, 3.0)) == (0.0, 1.0)
 
+    def test_singleton_run_after_a_group(self):
+        # Single values sit between two groups of three, and the walk step
+        # leaves the window of A counts starting below zero; a window read
+        # as if it started at zero drops an exit and reads 1/70.
+        a = np.array([0.5, 0.5, 0.0, 0.5])
+        b = np.array([3.0, 3.0, 3.0, 1.0])
+        d, p = permutation_ks(a, b)
+        assert d == 1.0
+        assert p == pytest.approx(2 / 70, rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [50, 400, 2000])
+    def test_tie_free_equal_halves_match_scipy_exact(self, n):
+        # One walk step covers the whole pool.
+        g = RngStream(43).child("ks_2samp_walk", n).generator()
+        a = g.standard_normal(n)
+        b = g.standard_normal(n) + 0.1
+        d, p = permutation_ks(a, b)
+        ref = scipy.stats.ks_2samp(a, b, method="exact")
+        assert d == pytest.approx(ref.statistic, rel=0, abs=1e-15)
+        assert abs(p - ref.pvalue) <= 1e-12
+
     def test_null_integer_samples_pass(self):
         g = RngStream(8).child("null").generator()
         a = g.poisson(3.0, 500).astype(float)
@@ -216,8 +249,17 @@ def exact_permutation_p(a, b) -> float:
 
 
 def tied_case(i: int) -> tuple:
-    """Small samples on {0, 1, 2, 3}; odd cases shift half B up by one."""
+    """Cases 0-19: small samples on {0, 1, 2, 3}; odd cases shift half B up
+    by one.  Cases 20-39: equal halves that mix atoms at 0.5 and 0.25 with
+    distinct values, so runs of singletons sit between tie groups; odd
+    cases shift half B's distinct values up."""
     g = RngStream(40).child("oracle", i).generator()
+    if i >= 20:
+        n = int(g.integers(2, 8))
+        pool = g.uniform(0.0, 1.0, 2 * n) + np.arange(2 * n) % 2 * (i % 2)
+        pool[g.random(2 * n) < 0.3] = 0.5
+        pool[g.random(2 * n) < 0.2] = 0.25
+        return pool[::2], pool[1::2]
     n_a, n_b = (int(v) for v in g.integers(2, 8, size=2))
     a = g.integers(0, 3, n_a).astype(float)
     b = g.integers(i % 2, 3 + i % 2, n_b).astype(float)
@@ -225,7 +267,7 @@ def tied_case(i: int) -> tuple:
 
 
 class TestPermutationOracle:
-    @pytest.mark.parametrize("case", range(20))
+    @pytest.mark.parametrize("case", range(40))
     def test_p_matches_full_enumeration(self, case):
         a, b = tied_case(case)
         d, p = permutation_ks(a, b)
@@ -292,32 +334,6 @@ class TestFunctionalByName:
     def test_unknown_name(self):
         with pytest.raises(ValueError, match="unknown functional"):
             functional_by_name("entropy")
-
-    def test_integer_flagged_names_take_whole_values(self):
-        # The flag sends a functional to the permutation KS; check it on
-        # sampled excursions and width processes, whichever it applies to.
-        model = default_model()
-        stream = RngStream(DEFAULT_SEED).child("integer_flag")
-        samples = (suite_sampler("sup_swap")(model, 100, stream.child("e")),
-                   suite_sampler("width_reversal")(model, 100,
-                                                   stream.child("w")))
-        flagged = [name for name, entry in _FUNCTIONALS.items()
-                   if entry.integer]
-        assert set(flagged) == {"jump_count", "crossing_count_at_fraction",
-                                "width_at_fraction", "width_left_at_fraction"}
-        for name in flagged:
-            f = functional_by_name(
-                f"{name}:0.3" if _FUNCTIONALS[name].fraction else name)
-            evaluated = 0
-            for objs in samples:
-                try:
-                    values = [float(f(o)) for o in objs]
-                except AttributeError:
-                    continue
-                evaluated += 1
-                assert all(v.is_integer() for v in values), name
-                assert max(values) > 0.0, name
-            assert evaluated == 1, name
 
 
 EXPECTED_REPORT_COUNTS = {
@@ -419,6 +435,18 @@ class TestSuiteRuns:
         assert result.passed
         assert result.exact_checked == 0
         assert all(r.suite.endswith("[null]") for r in result.reports)
+
+    def test_point_mass_rows_make_the_spec_vacuous(self):
+        # Under the dirac model every killed sup-excursion is the same path,
+        # so every required row pools one value and passes at p = 1.
+        result = run_suite("sup_excursion_rotation",
+                           model=named_model("dirac"), n=200,
+                           seed=DEFAULT_SEED)
+        assert result.vacuous == ("sup_excursion_rotation",)
+        assert not result.passed
+        assert result.exact_failures == 0
+        assert all(r.verdict == "Pass" for r in result.reports)
+        assert run_suite("sup_excursion_rotation", n=200).vacuous == ()
 
     def test_unknown_suite(self):
         with pytest.raises(ValueError, match="unknown suite"):

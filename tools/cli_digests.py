@@ -1,6 +1,7 @@
 """Digests of a fixed set of ``levyexc`` runs, for byte-identity checks.
 
     python3 tools/cli_digests.py --seeds 1,7,12,43 > digests.txt
+    python3 tools/cli_digests.py --seeds 1,7,12,43 --rows > rows.txt
 
 Runs a fixed list of invocations in-process, at each seed given, against
 the package in ``src/`` of this checkout, and prints one line per run: the
@@ -8,7 +9,9 @@ argv, the exit code and the sha256 of what the run wrote to stdout.
 Diagnostics on stderr are discarded.  Run it in two checkouts and diff the
 outputs to check that a change leaves CLI output byte-identical; the
 verify runs carry every row's statistic, p-value and verdict, so a moved
-p-value shows there too.
+p-value shows there too.  With ``--rows`` each verify run's line is
+followed by one line per report: the argv, suite, functional, repr(p) and
+verdict, so a diff of two checkouts lists the rows that moved.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import json
 import sys
 from pathlib import Path
 
@@ -54,22 +58,36 @@ def runs(seeds) -> list:
 
 
 def digest(argv: list) -> tuple:
-    """(exit code, sha256 of stdout) of one in-process ``levyexc`` run."""
+    """(exit code, sha256 of stdout, stdout) of one in-process ``levyexc``
+    run."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(io.StringIO()):
         code = cli.main(argv)
-    return code, hashlib.sha256(out.getvalue().encode()).hexdigest()
+    stdout = out.getvalue()
+    return code, hashlib.sha256(stdout.encode()).hexdigest(), stdout
+
+
+def report_rows(argv: list, stdout: str) -> list:
+    """One line per report of a ``verify --json`` run's stdout."""
+    return [f"{' '.join(argv)}\t{r['suite']}\t{r['functional']}\t"
+            f"{r['p_value']!r}\t{r['verdict']}"
+            for r in json.loads(stdout)["reports"]]
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--seeds", required=True,
                         help="comma-separated seeds")
+    parser.add_argument("--rows", action="store_true",
+                        help="also print every report row of the verify "
+                             "runs")
     args = parser.parse_args(argv)
     for run_argv in runs(int(seed) for seed in args.seeds.split(",")):
-        code, sha = digest(run_argv)
+        code, sha, out = digest(run_argv)
         print(f"{' '.join(run_argv)}\t{code}\t{sha}", flush=True)
+        if args.rows and run_argv[0] == "verify":
+            print("\n".join(report_rows(run_argv, out)), flush=True)
     return 0
 
 
