@@ -46,6 +46,20 @@ the default bin width is chosen near ``(3/2) * kappa * sqrt(h)`` where
 they offset; the net variance bias is then well under the sampling noise
 at the default path count, and the offset degrades gently (a 25% error
 in ``kappa`` moves the net by under 2% of the smallest checked value).
+
+The walks advance in lockstep: each step draws one normal per live path,
+in path order, and a path leaves the array at the step its boundary term
+reaches ``x / 2``, so the field is a function of the generator's normal
+sequence alone.  The step loop draws that sequence in chunks, scaled by
+``sqrt(h)`` as they are drawn, and hands each step the next ``live``
+values; numpy's ``Generator`` fills an array sequentially, so a chunk holds
+the very values the per-step draws would, and the scaling is the same
+IEEE multiply.  Bin occupancy is counted over blocks of stored rows of the
+reflected walk, each row stored after its step's mirror fix, and every
+block is counted before the live paths are compacted.  The counts are
+integers, so grouping them cannot change them: the field is bit for bit
+the one a loop that draws and counts step by step returns, whatever the
+chunk and block sizes.
 """
 
 from __future__ import annotations
@@ -63,6 +77,11 @@ __all__ = [
     "moment_check",
     "feller_moment_check",
 ]
+
+# local_time_field draws _CHUNK normals at a time and counts bin occupancy
+# over blocks of up to _BLOCK steps (at most 255: counts are summed in bytes).
+_CHUNK = 1 << 16
+_BLOCK = 32
 
 
 def local_time_field(target: float, levels, n_paths: int, h: float,
@@ -82,19 +101,20 @@ def local_time_field(target: float, levels, n_paths: int, h: float,
     ``seed``, so the output is reproducible.  A path that fails to reach
     the target within ``max_time`` raises ``RuntimeError``; with the
     defaults the stopping time concentrates near ``target`` time units, so
-    the cap marks a bug, not bad luck.
+    the cap marks a bug, not bad luck.  A ``target``, ``h``, ``delta``,
+    ``cap`` or ``max_time`` that is not positive and finite, or an empty
+    ``levels``, raises ``ValueError`` before any draw.
     """
     levels = tuple(float(t) for t in levels)
-    if target <= 0.0:
-        raise ValueError("target local time must be positive")
-    if h <= 0.0 or delta <= 0.0:
-        raise ValueError("h and delta must be positive")
+    for name, value in (("target", target), ("h", h), ("delta", delta),
+                        ("cap", cap), ("max_time", max_time)):
+        if not (value > 0.0 and math.isfinite(value)):
+            raise ValueError(f"{name} must be positive and finite, "
+                             f"not {value!r}")
     if n_paths < 1:
         raise ValueError("need at least one path")
-    if max_time <= 0.0:
-        raise ValueError("max_time must be positive")
-    if cap <= 0.0:
-        raise ValueError("cap must be positive")
+    if not levels:
+        raise ValueError("need at least one level")
     half = delta / 2.0
     for t in levels:
         if not half <= t <= cap - half:
@@ -104,34 +124,68 @@ def local_time_field(target: float, levels, n_paths: int, h: float,
     boundary_target = target / 2.0
     max_steps = int(math.ceil(max_time / h))
     g = RngStream(seed).child("rayknight").generator()
+    lo = [t - half for t in levels]
+    hi = [t + half for t in levels]
 
     out = np.full((n_paths, len(levels)), np.nan)
     walk = np.zeros(n_paths)            # free walk, mirrored at min + cap
     run_min = np.zeros(n_paths)
-    counts = np.zeros((n_paths, len(levels)), dtype=np.int64)
+    counts = [np.zeros(n_paths, dtype=np.int64) for _ in levels]
     orig = np.arange(n_paths)
-    for step in range(max_steps):
-        walk += g.standard_normal(walk.size) * sqrt_h
+    live = n_paths
+    # noise[pos:drawn] holds the drawn normals, times sqrt_h, not yet used
+    noise = np.empty(n_paths + max(_CHUNK, n_paths))
+    pos = drawn = 0
+    # rows[:filled] holds the reflected walk of the steps not yet counted
+    rows = np.empty(_BLOCK * n_paths)
+    block = rows.reshape(_BLOCK, live)
+    filled = 0
+    for _ in range(max_steps):
+        if pos + live > drawn:
+            left = drawn - pos
+            noise[:left] = noise[pos:drawn]
+            pos, drawn = 0, left + max(_CHUNK, live)
+            fresh = noise[left:drawn]
+            g.standard_normal(out=fresh)
+            np.multiply(fresh, sqrt_h, out=fresh)
+        np.add(walk, noise[pos:pos + live], out=walk)
+        pos += live
         np.minimum(run_min, walk, out=run_min)
-        reflected = walk - run_min
-        over = reflected > cap
-        if np.any(over):
+        reflected = block[filled]
+        np.subtract(walk, run_min, out=reflected)
+        if np.maximum.reduce(reflected) > cap:
+            over = reflected > cap
             reflected[over] = 2.0 * cap - reflected[over]
             walk[over] = run_min[over] + reflected[over]
-        for j, t in enumerate(levels):
-            counts[:, j] += (reflected >= t - half) & (reflected < t + half)
-        stopped = -run_min >= boundary_target
-        if np.any(stopped):
-            out[orig[stopped]] = counts[stopped] * (h / delta)
+        filled += 1
+        stop = -np.minimum.reduce(run_min) >= boundary_target
+        if stop or filled == _BLOCK:
+            _count(counts, block[:filled], lo, hi)
+            filled = 0
+        if stop:
+            stopped = -run_min >= boundary_target
+            gone = orig[stopped]
+            for j, c in enumerate(counts):
+                out[gone, j] = c[stopped] * (h / delta)
             keep = ~stopped
             walk = walk[keep]
             run_min = run_min[keep]
-            counts = counts[keep]
+            counts = [c[keep] for c in counts]
             orig = orig[keep]
-            if orig.size == 0:
+            live = orig.size
+            if live == 0:
                 return out
-    raise RuntimeError(f"{orig.size} paths still short of the target local "
+            block = rows[:_BLOCK * live].reshape(_BLOCK, live)
+    raise RuntimeError(f"{live} paths still short of the target local "
                        f"time after {max_time} time units")
+
+
+def _count(counts, rows, lo, hi) -> None:
+    """Add each path's bin occupancy over the walk ``rows`` to ``counts``
+    (summed in bytes: at most 255 rows)."""
+    for c, a, b in zip(counts, lo, hi):
+        inside = (rows >= a) & (rows < b)
+        c += np.add.reduce(inside.view(np.uint8), axis=0, dtype=np.uint8)
 
 
 @dataclass(frozen=True)
@@ -182,8 +236,13 @@ def moment_check(field: np.ndarray, target: float, levels, h: float,
     :func:`local_time_field` run with ``target``, ``levels``, ``h`` and
     ``delta``; the empirical mean and variance per level are compared with
     the branching-diffusion values within the given relative tolerances.
+    A variance needs at least two rows, and a check at least one level.
     """
     n_paths = field.shape[0]
+    if n_paths < 2:
+        raise ValueError(f"need at least two rows of the field, not {n_paths}")
+    if len(levels) == 0:
+        raise ValueError("need at least one level")
     means = field.mean(axis=0)
     variances = field.var(axis=0, ddof=1)
     exp_means = np.full(len(levels), float(target))

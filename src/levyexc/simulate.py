@@ -146,10 +146,20 @@ def _check_exact(model: LevyModel):
         raise ValueError("sampling needs drift d > 0")
 
 
-def _drift_jump(model: LevyModel, v: float, floor: float, ceiling: float,
+def _kernel(model: LevyModel) -> tuple:
+    """What :func:`_drift_jump` reads of ``model``, looked up once per
+    sampler call: the drift, the jump mass, the jump sampler and the mean
+    wait between jumps."""
+    d = float(model.drift)  # float segments, as the normal form stores them
+    b = model.jumps.mass
+    return d, b, model.jumps.sample, 1.0 / b if b > 0.0 else 0.0
+
+
+def _drift_jump(kernel: tuple, v: float, floor: float, ceiling: float,
                 horizon: float, excursions: int, segs: Optional[list],
                 rng: np.random.Generator) -> bool:
-    """Run the exact dynamics from value ``v`` at time 0 until a stop.
+    """Run the exact dynamics of a model, given as its :func:`_kernel`,
+    from value ``v`` at time 0 until a stop.
 
     Each step draws an exponential wait and then, unless the run stopped
     during the wait, one jump.  The run stops at whichever comes first:
@@ -166,10 +176,7 @@ def _drift_jump(model: LevyModel, v: float, floor: float, ceiling: float,
     a jump that hits the ceiling is not.  Raises ``RuntimeError`` when
     :data:`DEFAULT_MAX_EVENTS` waits pass without a stop.
     """
-    d = float(model.drift)  # float segments, as the normal form stores them
-    b = model.jumps.mass
-    draw_jump = model.jumps.sample
-    mean_wait = 1.0 / b if b > 0.0 else 0.0
+    d, b, draw_jump, mean_wait = kernel
     slope = -d
     t = 0.0
     for _ in range(DEFAULT_MAX_EVENTS):
@@ -234,7 +241,8 @@ def sample_path_fv(model: LevyModel, x0: float, stop: StopRule,
             raise ValueError("excursions need jumps")
         excursions = stop.count
     segs: list[Segment] = []
-    _drift_jump(model, x0, floor, math.inf, horizon, excursions, segs, rng)
+    _drift_jump(_kernel(model), x0, floor, math.inf, horizon, excursions,
+                segs, rng)
     return EventPath._from_run(x0, 0.0, segs)
 
 
@@ -438,6 +446,7 @@ def sample_excursions(model: LevyModel, n: int, rng: np.random.Generator,
     if model.jumps.mass <= 0.0:
         raise ValueError("excursion sampling needs jumps")
     _check_exact(model)
+    kernel = _kernel(model)
     max_attempts = _attempt_cap(n)
     out = []
     for _ in range(max_attempts):
@@ -445,7 +454,7 @@ def sample_excursions(model: LevyModel, n: int, rng: np.random.Generator,
             break
         j = float(model.jumps.sample(rng))
         segs: list[Segment] = []
-        _drift_jump(model, j, 0.0, math.inf, math.inf, 0, segs, rng)
+        _drift_jump(kernel, j, 0.0, math.inf, math.inf, 0, segs, rng)
         exc = EventPath._from_run(j, j, segs)
         if condition.check(exc):
             out.append(exc)
@@ -473,13 +482,14 @@ def sample_killed_sup_excursions(model: LevyModel, n: int, depth: float,
     _check_exact(model)
     if not (depth > 0.0 and math.isfinite(depth)):
         raise ValueError("depth must be positive and finite")
+    kernel = _kernel(model)
     max_attempts = _attempt_cap(n)
     out = []
     for _ in range(max_attempts):
         if len(out) >= n:
             break
         segs: list[Segment] = []
-        if _drift_jump(model, 0.0, -depth, 0.0, math.inf, 0, segs, rng):
+        if _drift_jump(kernel, 0.0, -depth, 0.0, math.inf, 0, segs, rng):
             out.append(EventPath._from_run(0.0, 0.0, segs))
     if len(out) < n:
         raise RuntimeError(
@@ -501,7 +511,8 @@ def exit_probability_mc(model: LevyModel, x: float, a: float, n: int,
     _check_exact(model)
     if n < 1:
         raise ValueError("need at least one replication")
+    kernel, x = _kernel(model), float(x)
     hits = 0
     for _ in range(n):
-        hits += _drift_jump(model, float(x), 0.0, a, math.inf, 0, None, rng)
+        hits += _drift_jump(kernel, x, 0.0, a, math.inf, 0, None, rng)
     return hits / n

@@ -174,9 +174,10 @@ def ks_two_sample(a, b) -> tuple:
     gives D = 0 and p = 1.
     """
     sizes, d = _tie_groups(a, b)
-    if np.size(a) == np.size(b) == sizes.size / 2:
-        return d, _equal_halves_tail(np.size(a), round(d * np.size(a)))
-    return permutation_ks(a, b)
+    n_a = np.size(a)
+    if n_a == np.size(b) == sizes.size / 2:
+        return d, _equal_halves_tail(n_a, round(d * n_a))
+    return _permutation_tail(sizes, d, n_a)
 
 
 # Stirling-series coefficients of log(n!) - log(sqrt(2 pi n) (n / e)^n).
@@ -254,9 +255,14 @@ def permutation_ks(a, b) -> tuple:
     and its exits are the weighted mass it loses, exact to about 1e-15.
     """
     sizes, observed = _tie_groups(a, b)
+    return _permutation_tail(sizes, observed, np.size(a))
+
+
+def _permutation_tail(sizes, observed: float, n_a: int) -> tuple:
+    """:func:`permutation_ks` of a pool given its tie-group ``sizes``, its
+    KS distance ``observed`` and the size ``n_a`` of the first sample."""
     if observed == 0.0:
         return 0.0, 1.0
-    n_a = np.asarray(a).size
     n = int(sizes.sum())
     n_b = n - n_a
     p_a = n_a / n

@@ -1,5 +1,6 @@
 """Tests of tools/cli_digests.py: every listed run is a valid command line,
-and a digest is the sha256 of the run's stdout."""
+a digest is the sha256 of the run's stdout, and the field line digests the
+reflected-walk field's bytes."""
 
 from __future__ import annotations
 
@@ -10,6 +11,7 @@ from pathlib import Path
 import json
 
 from levyexc.cli import EXIT_OK, EXIT_VERIFY_FAILED, build_parser, main
+from levyexc.rayknight import local_time_field
 
 _PATH = Path(__file__).resolve().parent.parent / "tools" / "cli_digests.py"
 _SPEC = importlib.util.spec_from_file_location("cli_digests", _PATH)
@@ -53,10 +55,32 @@ def test_rows_flag_prints_rows_after_verify_runs(capsys, monkeypatch):
                         (("verify", "--json", "--suite", "width_reversal",
                           "--n", "200"),))
     monkeypatch.setattr(cli_digests, "PLAIN_RUNS", (("scale-fn",),))
+    monkeypatch.setattr(cli_digests, "FIELD_RUN", _SMALL_FIELD)
     assert cli_digests.main(["--seeds", "3", "--rows"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    # scale-fn digest, verify digest, then one row per width_reversal report
-    assert len(lines) == 2 + 3
-    assert [len(line.split("\t")) for line in lines] == [3, 3, 5, 5, 5]
+    # scale-fn digest, verify digest, one row per width_reversal report,
+    # then the field line
+    assert len(lines) == 2 + 3 + 1
+    assert [len(line.split("\t")) for line in lines] == [3, 3, 5, 5, 5, 2]
     assert all(line.startswith("verify --json --suite width_reversal")
-               for line in lines[1:])
+               for line in lines[1:5])
+    assert lines[5] == cli_digests.field_line(3)
+
+
+_SMALL_FIELD = {"target": 0.5, "levels": (0.1, 0.2, 0.3), "n_paths": 64,
+                "h": 1e-3, "delta": 0.04}
+
+
+def test_field_line_is_sha256_of_the_field_bytes(monkeypatch):
+    monkeypatch.setattr(cli_digests, "FIELD_RUN", _SMALL_FIELD)
+    field = local_time_field(**_SMALL_FIELD, seed=7)
+    assert cli_digests.field_line(7) == (
+        "local_time_field target=0.5 levels=(0.1, 0.2, 0.3) n_paths=64 "
+        "h=0.001 delta=0.04 seed=7\t"
+        + hashlib.sha256(field.tobytes()).hexdigest())
+
+
+def test_field_run_at_seed_7_is_pin_b():
+    # the same bytes as pin B of tests/test_rayknight.py
+    assert cli_digests.field_line(7).endswith(
+        "\t44847bf6d4e673f5f042bbbd920a99e9551fed3bb6f13ebd139645d0b5e41c14")

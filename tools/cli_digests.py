@@ -11,7 +11,9 @@ outputs to check that a change leaves CLI output byte-identical; the
 verify runs carry every row's statistic, p-value and verdict, so a moved
 p-value shows there too.  With ``--rows`` each verify run's line is
 followed by one line per report: the argv, suite, functional, repr(p) and
-verdict, so a diff of two checkouts lists the rows that moved.
+verdict, so a diff of two checkouts lists the rows that moved.  Last come
+one line per seed with the sha256 of the bytes of a reflected-walk
+local-time field (``FIELD_RUN``) at that seed, which no CLI run reaches.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from levyexc import cli  # noqa: E402
+from levyexc import cli, rayknight  # noqa: E402
 
 # The runs, each made once per seed with "--seed <seed>" appended.
 SEEDED_RUNS = (
@@ -50,6 +52,11 @@ PLAIN_RUNS = (
     ("scale-fn",),
 )
 
+# The local_time_field arguments digested at each seed (pin B of
+# tests/test_rayknight.py at seed 7).
+FIELD_RUN = {"target": 1.0, "levels": (0.1, 0.2), "n_paths": 400,
+             "h": 1e-4, "delta": 0.04}
+
 
 def runs(seeds) -> list:
     """Every argv, in the order they are made."""
@@ -68,6 +75,15 @@ def digest(argv: list) -> tuple:
     return code, hashlib.sha256(stdout.encode()).hexdigest(), stdout
 
 
+def field_line(seed: int) -> str:
+    """The ``FIELD_RUN`` field's line at ``seed``: its arguments and the
+    sha256 of its bytes."""
+    field = rayknight.local_time_field(**FIELD_RUN, seed=seed)
+    args = " ".join(f"{k}={v!r}" for k, v in FIELD_RUN.items())
+    return (f"local_time_field {args} seed={seed}\t"
+            f"{hashlib.sha256(field.tobytes()).hexdigest()}")
+
+
 def report_rows(argv: list, stdout: str) -> list:
     """One line per report of a ``verify --json`` run's stdout."""
     return [f"{' '.join(argv)}\t{r['suite']}\t{r['functional']}\t"
@@ -83,11 +99,14 @@ def main(argv=None) -> int:
                         help="also print every report row of the verify "
                              "runs")
     args = parser.parse_args(argv)
-    for run_argv in runs(int(seed) for seed in args.seeds.split(",")):
+    seeds = [int(seed) for seed in args.seeds.split(",")]
+    for run_argv in runs(seeds):
         code, sha, out = digest(run_argv)
         print(f"{' '.join(run_argv)}\t{code}\t{sha}", flush=True)
         if args.rows and run_argv[0] == "verify":
             print("\n".join(report_rows(run_argv, out)), flush=True)
+    for seed in seeds:
+        print(field_line(seed), flush=True)
     return 0
 
 
