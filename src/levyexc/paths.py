@@ -29,9 +29,10 @@ mergeable neighbours, and for the ``extract_*`` helpers, whose cut at a
 passage can leave a zero duration.  Two private constructors skip that
 pass, and this is the one list of the producers that use them:
 
-* ``EventPath._trusted`` stores fields that are in normal form by
-  construction: ``rotate`` and ``translate`` here (they keep every
-  duration, slope and jump), and :func:`~levyexc.excursions.pre_sup`,
+* ``EventPath._trusted`` writes fields that are in normal form by
+  construction straight into their slots: ``rotate`` and ``translate``
+  here (they keep every duration, slope and jump), and
+  :func:`~levyexc.excursions.pre_sup`,
   :func:`~levyexc.excursions.post_sup`, the two rotated halves inside
   :func:`~levyexc.excursions.supremum_swap` and
   :func:`~levyexc.excursions.pointwise_reflection` (slices and sign flips
@@ -43,6 +44,16 @@ pass, and this is the one list of the producers that use them:
   breaks the form (a zero horizon, a start on the passage level, a wait or
   a jump of exactly 0.0) through validation, so every output is what
   validation builds.
+
+Storage.  ``EventPath`` is a frozen dataclass with slots and no per-instance
+``__dict__``, which keeps the many short-lived paths of a run small and
+cheap for the cyclic collector.  Besides its three fields it has two slots
+for derived tables, ``_times`` (cumulative segment end times) and
+``_starts`` (the value at the start of each segment).  Neither constructor
+fills them: the first read of an unset table slot computes and stores it,
+without a lock, and later reads are plain slot reads.  ``pickle`` and
+``copy`` carry only the fields, so a copy starts with its tables unset;
+equality and hashing also read only the fields.
 """
 
 from __future__ import annotations
@@ -50,7 +61,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property
 
 # Absolute tolerance for merging adjacent equal-slope segments and for
 # dropping numerically-zero junction jumps in concat().
@@ -84,8 +94,37 @@ def _normalize(segments) -> tuple[Segment, ...]:
     return tuple((d, s, j) for d, s, j in out)
 
 
-@dataclass(frozen=True)
-class EventPath:
+class _Tables:
+    """Slots for the derived tables of :class:`EventPath`, filled on first
+    read.  An unset slot (a fresh path, or one made by ``pickle`` or
+    ``copy``, which carry only the fields) means "not computed yet"."""
+
+    __slots__ = ("_times", "_starts")
+
+    def __getattr__(self, name: str):
+        # Called only when normal lookup fails, so only for an unset slot
+        # (or an unknown name) and never again once a table is stored.
+        if name == "_times":
+            times, t = [], 0.0
+            for dur, _, _ in self.segments:
+                t += dur
+                times.append(t)
+            value = tuple(times)
+        elif name == "_starts":
+            starts, v = [], self.x0
+            for dur, slope, jump in self.segments:
+                starts.append(v)
+                v += slope * dur + jump
+            value = tuple(starts)
+        else:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}")
+        object.__setattr__(self, name, value)
+        return value
+
+
+@dataclass(frozen=True, slots=True)
+class EventPath(_Tables):
     """Exact piecewise-linear cadlag path.
 
     Attributes:
@@ -97,6 +136,11 @@ class EventPath:
             Jumps are usually upward (spectrally positive sampling) but any
             finite size is accepted so that pointwise reflections remain
             representable.
+
+    A path has slots and no ``__dict__``.  Its two derived tables fill
+    slots of :class:`_Tables` on first read: ``_times``, the cumulative
+    segment end times t_1 <= ... <= t_n, and ``_starts``, the (post-jump)
+    value at the start of each segment.
     """
 
     x0: float = 0.0
@@ -118,13 +162,13 @@ class EventPath:
         The caller guarantees what ``__post_init__`` establishes (see the
         module docstring): finite float ``x0`` and ``initial_jump``, and a
         tuple of finite-float segments with durations > 0 and no neighbour
-        pair that :func:`_normalize` would merge.
+        pair that :func:`_normalize` would merge.  The fields go straight
+        into their slots; the tables are left unset.
         """
-        p = object.__new__(cls)
-        d = p.__dict__
-        d["x0"] = x0
-        d["initial_jump"] = initial_jump
-        d["segments"] = segments
+        p = _new(cls)
+        _set_x0(p, x0)
+        _set_initial_jump(p, initial_jump)
+        _set_segments(p, segments)
         return p
 
     @classmethod
@@ -136,34 +180,21 @@ class EventPath:
         segment are all nonzero and whose values are all finite is in
         normal form whatever its slopes: :func:`_normalize` merges only
         across an end jump of exactly 0.  Such a run is stored as it is;
-        any other run goes through ``EventPath(...)``, which folds it.
+        any other run (an empty one included) goes through
+        ``EventPath(...)``, which folds it.  One pass checks all three:
+        a sum of floats is finite only if every term is.
         """
         if segments:
-            durs, slopes, jumps = zip(*segments)
-            if (min(durs) > 0.0 and 0.0 not in jumps[:-1] and math.isfinite(
-                    x0 + initial_jump + sum(durs) + sum(slopes) + sum(jumps))):
-                return cls._trusted(x0, initial_jump, tuple(segments))
+            total, before = x0 + initial_jump, 1.0  # before: previous jump
+            for dur, slope, jump in segments:
+                if before == 0.0 or not dur > 0.0:
+                    break
+                total += dur + slope + jump
+                before = jump
+            else:
+                if math.isfinite(total):
+                    return cls._trusted(x0, initial_jump, tuple(segments))
         return cls(x0, initial_jump, tuple(segments))
-
-    # -- derived tables -------------------------------------------------
-
-    @cached_property
-    def _times(self) -> tuple[float, ...]:
-        """Cumulative segment end times t_1 <= ... <= t_n."""
-        times, t = [], 0.0
-        for dur, _, _ in self.segments:
-            t += dur
-            times.append(t)
-        return tuple(times)
-
-    @cached_property
-    def _starts(self) -> tuple[float, ...]:
-        """Value at the start of each segment (post-jump)."""
-        starts, v = [], self.x0
-        for dur, slope, jump in self.segments:
-            starts.append(v)
-            v += slope * dur + jump
-        return tuple(starts)
 
     @property
     def lifetime(self) -> float:
@@ -310,6 +341,14 @@ class EventPath:
     def max_jump(self) -> float:
         js = self.jumps()
         return max(js) if js else 0.0
+
+
+# What ``EventPath._trusted`` calls: the object allocator and the field
+# slots' setters, which a frozen dataclass's own __setattr__ refuses.
+_new = object.__new__
+_set_x0 = EventPath.x0.__set__
+_set_initial_jump = EventPath.initial_jump.__set__
+_set_segments = EventPath.segments.__set__
 
 
 def concat(p1: EventPath, p2: EventPath) -> EventPath:

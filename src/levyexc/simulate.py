@@ -24,19 +24,32 @@ the levels they pass it and in whether they record the segments.
 
 Reproducibility: every sampler takes a ``numpy.random.Generator``.
 :class:`RngStream` builds hierarchies of independent, order-insensitive
-named streams on top of ``numpy.random.SeedSequence``.
+named streams on top of ``numpy.random.SeedSequence``.  A sampler call draws
+exactly the values, in exactly the order, that one scalar draw per wait and
+per jump would: ``rng.exponential(mean_wait)`` for each wait, then
+``jumps.sample(rng)`` for each jump (and for an excursion's opening jump).
+For exponential and Dirac jump laws, whose scalar draws are a scale times
+one standard exponential or nothing at all, the kernel takes those values
+from ``rng.standard_exponential(k)`` chunks, read ahead; it saves the
+generator state before each chunk and, when the call ends (also by an
+exception), restores it and redraws the values used from the last chunk.
+So the generator is left exactly where scalar draws would leave it, and the
+next call, or any other use of the generator, sees the same stream.
+Mixture laws keep scalar draws.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 import zlib
 from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
 
-from levyexc.models import LevyModel
+from levyexc.models import DiracJumps, ExponentialJumps, LevyModel
 from levyexc.paths import EventPath, Segment
 
 __all__ = [
@@ -146,18 +159,97 @@ def _check_exact(model: LevyModel):
         raise ValueError("sampling needs drift d > 0")
 
 
-def _kernel(model: LevyModel) -> tuple:
-    """What :func:`_drift_jump` reads of ``model``, looked up once per
-    sampler call: the drift, the jump mass, the jump sampler and the mean
-    wait between jumps."""
+# The first _SCALAR_DRAWS standard exponentials of a sampler call are drawn
+# one at a time, so that a short call saves and restores no generator state.
+# The rest are drawn ahead in chunks whose size doubles from _FIRST_CHUNK up
+# to _MAX_CHUNK: a long call pays the per-chunk numpy call rarely.
+_SCALAR_DRAWS = 8
+_FIRST_CHUNK = 64
+_MAX_CHUNK = 2048
+
+
+def _exponential_stream(rng: np.random.Generator) -> tuple:
+    """``(draw, resync)``: ``draw()`` returns the next standard exponential
+    of ``rng``, ``resync()`` leaves ``rng`` where scalar draws would have.
+
+    After the first :data:`_SCALAR_DRAWS` scalar draws the values come from
+    ``rng.standard_exponential(k)`` chunks, which draw the same values in
+    the same order as k scalar draws.  The generator state is saved before
+    each chunk; ``resync`` restores the last saved state and redraws the
+    count used from that chunk.
+    """
+    last = [None, 0, iter(())]  # state before the last chunk, size, rest
+
+    def chunks():
+        yield map(rng.standard_exponential, itertools.repeat(None,
+                                                             _SCALAR_DRAWS))
+        size = _FIRST_CHUNK
+        while True:
+            last[0] = rng.bit_generator.state
+            last[1] = size
+            last[2] = rest = iter(rng.standard_exponential(size).tolist())
+            yield rest
+            size = min(2 * size, _MAX_CHUNK)
+
+    def resync():
+        state, size, rest = last
+        if state is not None:
+            rng.bit_generator.state = state
+            used = size - operator.length_hint(rest)
+            if used:
+                rng.standard_exponential(used)
+
+    return itertools.chain.from_iterable(chunks()).__next__, resync
+
+
+def _no_resync():
+    pass
+
+
+def _kernel(model: LevyModel, rng: np.random.Generator) -> tuple:
+    """What :func:`_drift_jump` reads of ``model`` and ``rng``, set up once
+    per sampler call, and the ``resync`` to call when the call ends:
+    ``((d, draw_wait, mean_wait, draw_jump, jump_scale), resync)``.
+
+    A wait is ``mean_wait * draw_wait()`` and a jump is ``jump_scale *
+    draw_jump()``.  numpy's scalar ``exponential(scale)`` is ``scale`` times
+    a standard exponential, so for exponential and Dirac jumps every draw is
+    taken from one standard-exponential stream (:func:`_exponential_stream`)
+    in the order scalar draws would take it; the sampler calls ``resync`` in
+    a ``finally`` so that the generator is left where those draws would
+    leave it, also after an exception.  Any other jump law (a mixture draws
+    through ``choice``) keeps scalar draws, and a law of mass 0 draws
+    nothing.
+    """
     d = float(model.drift)  # float segments, as the normal form stores them
-    b = model.jumps.mass
-    return d, b, model.jumps.sample, 1.0 / b if b > 0.0 else 0.0
+    jumps = model.jumps
+    b = jumps.mass
+    family = type(jumps)
+    if family is ExponentialJumps or family is DiracJumps:
+        draw_wait, resync = _exponential_stream(rng)
+        if family is ExponentialJumps:
+            draw_jump, jump_scale = draw_wait, 1.0 / jumps.theta
+        else:  # every jump has size c and draws nothing
+            draw_jump = itertools.repeat(float(jumps.c)).__next__
+            jump_scale = 1.0
+    else:
+        sample = jumps.sample
+
+        def draw_jump() -> float:
+            return float(sample(rng))
+
+        draw_wait, jump_scale = rng.standard_exponential, 1.0
+        resync = _no_resync
+    if b > 0.0:
+        mean_wait = 1.0 / b
+    else:  # no jumps: an infinite wait, and nothing drawn
+        draw_wait, mean_wait = itertools.repeat(math.inf).__next__, 1.0
+    return (d, draw_wait, mean_wait, draw_jump, jump_scale), resync
 
 
 def _drift_jump(kernel: tuple, v: float, floor: float, ceiling: float,
-                horizon: float, excursions: int, segs: Optional[list],
-                rng: np.random.Generator) -> bool:
+                horizon: float, excursions: int,
+                segs: Optional[list]) -> bool:
     """Run the exact dynamics of a model, given as its :func:`_kernel`,
     from value ``v`` at time 0 until a stop.
 
@@ -176,11 +268,11 @@ def _drift_jump(kernel: tuple, v: float, floor: float, ceiling: float,
     a jump that hits the ceiling is not.  Raises ``RuntimeError`` when
     :data:`DEFAULT_MAX_EVENTS` waits pass without a stop.
     """
-    d, b, draw_jump, mean_wait = kernel
+    d, draw_wait, mean_wait, draw_jump, jump_scale = kernel
     slope = -d
     t = 0.0
     for _ in range(DEFAULT_MAX_EVENTS):
-        wait = rng.exponential(mean_wait) if b > 0.0 else math.inf
+        wait = mean_wait * draw_wait()
         delta = (v - floor) / d
         if delta <= wait and t + delta <= horizon:
             if excursions > 1:
@@ -194,7 +286,7 @@ def _drift_jump(kernel: tuple, v: float, floor: float, ceiling: float,
             if segs is not None:
                 segs.append((horizon - t, slope, 0.0))
             return False
-        jump = float(draw_jump(rng))
+        jump = jump_scale * draw_jump()
         v += slope * wait
         if v + jump >= ceiling:
             return False
@@ -217,6 +309,14 @@ def sample_path_fv(model: LevyModel, x0: float, stop: StopRule,
     stop rule fires.  ``x0``, a horizon time and a first-passage level must
     be finite (a NaN or infinite one would never stop the kernel).
     """
+    return _sample_paths_fv(model, x0, stop, 1, rng)[0]
+
+
+def _sample_paths_fv(model: LevyModel, x0: float, stop: StopRule, k: int,
+                     rng: np.random.Generator) -> list:
+    """``k`` independent :func:`sample_path_fv` paths drawn in one sampler
+    call: the same paths, and the same generator state after, as ``k``
+    calls in a row, with one draw stream for all of them."""
     _check_exact(model)
     x0 = float(x0)
     if not math.isfinite(x0):
@@ -240,10 +340,17 @@ def sample_path_fv(model: LevyModel, x0: float, stop: StopRule,
         if model.jumps.mass <= 0.0:
             raise ValueError("excursions need jumps")
         excursions = stop.count
-    segs: list[Segment] = []
-    _drift_jump(_kernel(model), x0, floor, math.inf, horizon, excursions,
-                segs, rng)
-    return EventPath._from_run(x0, 0.0, segs)
+    out = []
+    kernel, resync = _kernel(model, rng)
+    try:
+        for _ in range(k):
+            segs: list[Segment] = []
+            _drift_jump(kernel, x0, floor, math.inf, horizon, excursions,
+                        segs)
+            out.append(EventPath._from_run(x0, 0.0, segs))
+    finally:
+        resync()
+    return out
 
 
 # -- excursion extraction ------------------------------------------------------
@@ -446,18 +553,22 @@ def sample_excursions(model: LevyModel, n: int, rng: np.random.Generator,
     if model.jumps.mass <= 0.0:
         raise ValueError("excursion sampling needs jumps")
     _check_exact(model)
-    kernel = _kernel(model)
     max_attempts = _attempt_cap(n)
     out = []
-    for _ in range(max_attempts):
-        if len(out) >= n:
-            break
-        j = float(model.jumps.sample(rng))
-        segs: list[Segment] = []
-        _drift_jump(kernel, j, 0.0, math.inf, math.inf, 0, segs, rng)
-        exc = EventPath._from_run(j, j, segs)
-        if condition.check(exc):
-            out.append(exc)
+    kernel, resync = _kernel(model, rng)
+    draw_jump, jump_scale = kernel[3:]
+    try:
+        for _ in range(max_attempts):
+            if len(out) >= n:
+                break
+            j = jump_scale * draw_jump()
+            segs: list[Segment] = []
+            _drift_jump(kernel, j, 0.0, math.inf, math.inf, 0, segs)
+            exc = EventPath._from_run(j, j, segs)
+            if condition.check(exc):
+                out.append(exc)
+    finally:
+        resync()
     if len(out) < n:
         raise RuntimeError(
             f"only {len(out)}/{n} excursions met the condition in "
@@ -482,15 +593,18 @@ def sample_killed_sup_excursions(model: LevyModel, n: int, depth: float,
     _check_exact(model)
     if not (depth > 0.0 and math.isfinite(depth)):
         raise ValueError("depth must be positive and finite")
-    kernel = _kernel(model)
     max_attempts = _attempt_cap(n)
     out = []
-    for _ in range(max_attempts):
-        if len(out) >= n:
-            break
-        segs: list[Segment] = []
-        if _drift_jump(kernel, 0.0, -depth, 0.0, math.inf, 0, segs, rng):
-            out.append(EventPath._from_run(0.0, 0.0, segs))
+    kernel, resync = _kernel(model, rng)
+    try:
+        for _ in range(max_attempts):
+            if len(out) >= n:
+                break
+            segs: list[Segment] = []
+            if _drift_jump(kernel, 0.0, -depth, 0.0, math.inf, 0, segs):
+                out.append(EventPath._from_run(0.0, 0.0, segs))
+    finally:
+        resync()
     if len(out) < n:
         raise RuntimeError(
             f"only {len(out)}/{n} excursions reached depth {depth} in "
@@ -511,8 +625,12 @@ def exit_probability_mc(model: LevyModel, x: float, a: float, n: int,
     _check_exact(model)
     if n < 1:
         raise ValueError("need at least one replication")
-    kernel, x = _kernel(model), float(x)
+    x = float(x)
     hits = 0
-    for _ in range(n):
-        hits += _drift_jump(kernel, x, 0.0, a, math.inf, 0, None, rng)
+    kernel, resync = _kernel(model, rng)
+    try:
+        for _ in range(n):
+            hits += _drift_jump(kernel, x, 0.0, a, math.inf, 0, None)
+    finally:
+        resync()
     return hits / n

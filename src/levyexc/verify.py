@@ -64,9 +64,9 @@ from levyexc.simulate import (
     DEFAULT_SEED,
     FirstPassage,
     RngStream,
+    _sample_paths_fv,
     sample_excursions,
     sample_killed_sup_excursions,
-    sample_path_fv,
 )
 from levyexc.trees import WidthProcess, sample_tree, width_process
 
@@ -492,8 +492,8 @@ def _killed_shifted_sampler(x: float, model: LevyModel, n: int,
     """First-passage paths to ``-x`` from 0, shifted at their argmax."""
 
     def block(k: int, g: np.random.Generator) -> list:
-        return [post_sup(sample_path_fv(model, 0.0, FirstPassage(-x), g))
-                for _ in range(k)]
+        return [post_sup(p)
+                for p in _sample_paths_fv(model, 0.0, FirstPassage(-x), k, g)]
 
     return _blocked(n, stream, block)
 

@@ -1,9 +1,14 @@
-"""Tests of the pure summaries in tools/bench_pairs.py: the gain rule and
-the failed shares."""
+"""Tests of tools/bench_pairs.py: the pure summaries (the gain rule and
+the failed shares) and the environment record, which needs no scipy."""
 
 from __future__ import annotations
 
+import importlib.metadata
 import importlib.util
+import json
+import platform
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -91,3 +96,38 @@ def test_higher_change_share_is_flagged():
     assert s["change_higher"] == [0]
     with pytest.raises(ValueError):
         failure_shares(_runs((0, 12)), [])
+
+
+# Refuses every scipy import, loads the script and prints its environment
+# record.
+NO_SCIPY = """
+import importlib.util, json, sys
+class Refuse:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} refused")
+sys.meta_path.insert(0, Refuse())
+spec = importlib.util.spec_from_file_location("bench_pairs", sys.argv[1])
+module = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(module)
+print(json.dumps(module.environment()))
+"""
+
+
+def test_environment_imports_no_scipy():
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY, str(_PATH)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    env = json.loads(proc.stdout)
+    assert sorted(env) == ["nproc", "numpy", "python", "scipy"]
+    assert env["python"] == platform.python_version()
+
+
+def test_environment_records_a_missing_scipy_as_none(monkeypatch):
+    def version(name):
+        if name == "scipy":
+            raise importlib.metadata.PackageNotFoundError(name)
+        return "0"
+
+    monkeypatch.setattr(importlib.metadata, "version", version)
+    assert bench_pairs.environment()["scipy"] is None

@@ -27,6 +27,22 @@ def test_every_run_parses():
         build_parser().parse_args(argv)
 
 
+def test_dirac_runs_reach_the_no_draw_jump_route():
+    argvs = [" ".join(argv) for argv in cli_digests.runs([1])]
+    assert "simulate --model dirac --kind excursion --n 200 --seed 1" in argvs
+    assert ("simulate --model dirac --kind path --stop horizon:10 --n 20 "
+            "--seed 1") in argvs
+    code, _, out = cli_digests.digest(
+        ["simulate", "--model", "dirac", "--kind", "excursion", "--n", "20",
+         "--seed", "1"])
+    assert code == EXIT_OK
+    paths = [json.loads(line) for line in out.splitlines()]
+    assert len(paths) == 20
+    # every jump of the dirac model has size 1
+    assert {p["initial_jump"] for p in paths} == {1.0}
+    assert {s[2] for p in paths for s in p["segments"]} <= {0.0, 1.0}
+
+
 def test_digest_is_sha256_of_stdout(capsys):
     argv = ["scale-fn", "--x-max", "0.5", "--h-w", "0.1"]
     assert main(argv) == EXIT_OK

@@ -9,6 +9,8 @@ the swap test.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -23,6 +25,7 @@ from levyexc.excursions import (
     pre_sup,
     supremum_swap,
 )
+from levyexc import simulate
 from levyexc.models import ExponentialJumps, LevyModel
 from levyexc.paths import EventPath, concat
 from levyexc.simulate import (
@@ -210,25 +213,46 @@ def test_sampled_paths_are_in_normal_form():
 
 
 class _ScriptedRng:
-    """Generator stand-in whose exponential draws (waits and, for
-    exponential jump laws, jump sizes) come from a script, in order."""
+    """Generator stand-in whose standard exponential draws (waits and, for
+    exponential jump laws, jump sizes before scaling) come from a script,
+    in order.  Its ``bit_generator.state`` is the position in the script, so
+    the kernel can save it, draw ahead and restore it; draws past the end of
+    the script are NaN."""
 
     def __init__(self, values):
         self.values = list(values)
+        self.position = 0
+        self.bit_generator = self
 
-    def exponential(self, scale=1.0, size=None):
-        return self.values.pop(0)
+    @property
+    def state(self):
+        return {"position": self.position}
+
+    @state.setter
+    def state(self, value):
+        self.position = value["position"]
+
+    def standard_exponential(self, size=None):
+        i = self.position
+        self.position += 1 if size is None else size
+        if size is None:
+            return self.values[i]
+        chunk = self.values[i:i + size]
+        return np.array(chunk + [math.nan] * (size - len(chunk)))
 
 
+# MODEL waits are standard exponentials (jump rate 1) and its jumps are half
+# of one (mean jump size 1/2), so each jump entry of a script is twice the
+# jump it makes.
 class TestDegenerateKernelDraws:
     """Draws that break the normal form are folded as validation folds them."""
 
     @pytest.mark.parametrize("script, raw", [
         # (wait, jump) pairs then a closing wait: a wait of exactly 0.0 ...
-        ([0.3, 1.0, 0.0, 0.5, 10.0],
+        ([0.3, 2.0, 0.0, 1.0, 10.0],
          ((0.3, -1.0, 1.0), (0.0, -1.0, 0.5), (4.7, -1.0, 0.0))),
         # ... and a jump draw that underflows to 0.0
-        ([0.25, 0.0, 0.25, 1.0, 10.0],
+        ([0.25, 0.0, 0.25, 2.0, 10.0],
          ((0.25, -1.0, 0.0), (0.25, -1.0, 1.0), (4.5, -1.0, 0.0))),
     ])
     def test_path(self, script, raw):
@@ -237,9 +261,19 @@ class TestDegenerateKernelDraws:
         assert len(p.segments) == 2
         assert_normal_form(p)
 
+    def test_path_from_chunks(self, monkeypatch):
+        # the same draws served in chunks, with the script's end in the
+        # first one, and the stand-in left after the draws the path used
+        monkeypatch.setattr(simulate, "_SCALAR_DRAWS", 0)
+        rng = _ScriptedRng([0.3, 2.0, 0.0, 1.0, 10.0])
+        p = sample_path_fv(MODEL, 0.0, Horizon(5.0), rng)
+        assert p == EventPath(0.0, 0.0, ((0.3, -1.0, 1.0), (0.0, -1.0, 0.5),
+                                         (4.7, -1.0, 0.0)))
+        assert rng.position == 5
+
     def test_excursion(self):
         # opening jump 1, then waits/jumps (0.25, 0.5), (0.0, 0.5), closing
-        script = [1.0, 0.25, 0.5, 0.0, 0.5, 10.0]
+        script = [2.0, 0.25, 1.0, 0.0, 1.0, 10.0]
         (e,) = sample_excursions(MODEL, 1, _ScriptedRng(script))
         assert e == EventPath(1.0, 1.0, ((0.25, -1.0, 0.5), (0.0, -1.0, 0.5),
                                          (1.75, -1.0, 0.0)))
@@ -247,7 +281,8 @@ class TestDegenerateKernelDraws:
         assert_normal_form(e)
 
     def test_killed_sup_excursion(self):
-        script = [0.25, 0.125, 0.0, 0.0625, 10.0]
+        # waits/jumps (0.25, 0.125), (0.0, 0.0625), then a wait past -1
+        script = [0.25, 0.25, 0.0, 0.125, 10.0]
         (e,) = sample_killed_sup_excursions(MODEL, 1, 1.0,
                                             _ScriptedRng(script))
         assert len(e.segments) == 2

@@ -6,8 +6,11 @@ nontrivial constant is justified in a comment next to its assertion.
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -62,6 +65,48 @@ class TestConstruction:
             EventPath(math.nan, 0.0, ())
         with pytest.raises(ValueError):
             EventPath(0.0, 0.0, ((1.0, math.inf, 0.0),))
+
+
+class TestPathType:
+    """Slots instead of a ``__dict__``, and tables filled on first read."""
+
+    def test_no_instance_dict(self):
+        assert not hasattr(WORKED, "__dict__")
+        with pytest.raises(AttributeError):
+            WORKED._no_such_table
+
+    def test_fields_are_the_three_attributes(self):
+        assert [f.name for f in dataclasses.fields(EventPath)] == [
+            "x0", "initial_jump", "segments"]
+
+    def test_read_tables_leave_equality_and_hash(self):
+        read = EventPath(WORKED.x0, WORKED.initial_jump, WORKED.segments)
+        assert read.lifetime == 3.0 and read.area() == WORKED.area()
+        fresh = EventPath(WORKED.x0, WORKED.initial_jump, WORKED.segments)
+        assert read == fresh
+        assert hash(read) == hash(fresh)
+        assert read._times == (0.5, 3.0)
+        assert read._starts == (1.0, 2.5)
+
+    @pytest.mark.parametrize("clone", [
+        lambda p: pickle.loads(pickle.dumps(p)), copy.copy, copy.deepcopy])
+    @pytest.mark.parametrize("read_first", [False, True])
+    def test_clones_evaluate_identically(self, clone, read_first):
+        p = random_fv_path(np.random.default_rng(8), 6)
+        if read_first:
+            p.evaluate(0.5)
+        q = clone(p)
+        assert q == p and hash(q) == hash(p)
+        assert not hasattr(q, "__dict__")
+        for t in np.linspace(0.0, p.lifetime + 1.0, 41):
+            assert q.evaluate(t) == p.evaluate(t)
+        assert (q.sup(), q.area()) == (p.sup(), p.area())
+
+    def test_frozen(self):
+        p = EventPath(1.0, 1.0, WORKED.segments)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            p.x0 = 2.0
+        assert p.x0 == 1.0
 
 
 class TestEvaluation:

@@ -8,6 +8,7 @@ rate theta): psi'(0) = 1 - b/theta and psi''(0) = 2 b / theta^2.
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -15,7 +16,14 @@ import pytest
 
 from levyexc import simulate
 from levyexc.excursions import peak_value
-from levyexc.models import ExponentialJumps, LevyModel, NullJumps, named_model
+from levyexc.models import (
+    DiracJumps,
+    ExponentialJumps,
+    LevyModel,
+    MixtureJumps,
+    NullJumps,
+    named_model,
+)
 from levyexc.paths import EventPath
 from levyexc.simulate import (
     AnyExcursion,
@@ -32,7 +40,12 @@ from levyexc.simulate import (
     sample_killed_sup_excursions,
     sample_path_fv,
 )
-from levyexc.verify import PER_FUNCTIONAL_ALPHA, ks_two_sample, permutation_ks
+from levyexc.verify import (
+    PER_FUNCTIONAL_ALPHA,
+    _killed_shifted_sampler,
+    ks_two_sample,
+    permutation_ks,
+)
 
 # Unit drift, jump rate 1, jump sizes Exp(2): drifts to -inf at speed 1/2.
 MODEL = LevyModel.from_drift(1.0, ExponentialJumps(1.0, 2.0))
@@ -383,3 +396,161 @@ class TestSampleExcursions:
                                  condition) == composed
         assert (direct_rng.bit_generator.state
                 == composed_rng.bit_generator.state)
+
+
+# -- pinned draws -------------------------------------------------------------
+#
+# The bytes every sampler draws and the generator state it leaves, pinned at
+# fixed seeds.  The kernel takes its draws ahead in chunks and puts the
+# generator back where scalar draws would have left it; these pins, taken
+# with one scalar draw per value, hold it to that.
+
+PIN_MODELS = {
+    "bd": named_model("bd"),
+    "dirac": named_model("dirac"),
+    # no chunked stream: a mixture draws its jumps through ``choice``
+    "mixture": LevyModel.from_drift(1.0, MixtureJumps(
+        (ExponentialJumps(0.5, 2.0), DiracJumps(0.25, 1.0)))),
+}
+
+# Run in this order on one generator per model; after each call the pin
+# takes the sha256 of the result and the generator's next random().
+PIN_CALLS = (
+    ("excursions", lambda m, g: sample_excursions(m, 30, g)),
+    ("excursions_height",
+     lambda m, g: sample_excursions(m, 10, g, HeightAtLeast(1.0))),
+    ("killed_sup", lambda m, g: sample_killed_sup_excursions(m, 20, 0.5, g)),
+    ("horizon", lambda m, g: sample_path_fv(m, 0.0, Horizon(10.0), g)),
+    ("first_passage",
+     lambda m, g: sample_path_fv(m, 1.0, FirstPassage(-1.0), g)),
+    ("excursion_count",
+     lambda m, g: sample_path_fv(m, 0.0, ExcursionCount(5), g)),
+    ("exit_mc", lambda m, g: exit_probability_mc(m, 1.0, 2.0, 200, g)),
+)
+
+PINS = {
+    "bd": (
+        ("14a82444e14b13a202b46db4042e1a0e7bbe89f0bb12ae9e40ad8b994b8279e6",
+         0.8695861449427119),
+        ("f26d9d484299e974edc5e902e585f1f25a5eec24b6bbc9766a1715e710ec6835",
+         0.12989985746027233),
+        ("d1020c1d6aa89da6d6a4055a6988859ff643c95cdf29e27dc53b9d4aca1e0261",
+         0.3855166772205094),
+        ("be6bd5f8d04520d26b6a76ed74957cf3b2843af5abd7a7a87da501091370f854",
+         0.6359457453604368),
+        ("831fc101adc6fe89e84fed29ba34cbaefa25d19eabcef0294a325d18d768266d",
+         0.8684385485642556),
+        ("838f0cba23cc152f7307eb543fb94a5a682e0048ec8f026c5e265c379ab5deaf",
+         0.996593527805509),
+        ("5bcccbeaf5d2a2118d29892cbe54534cecba8f031e0c9333632281250d7cf5f5",
+         0.7531002229470558),
+    ),
+    "dirac": (
+        ("340e77b6dbfe543b28922a46de8ee66abab2c70dafaf44498746801aa3ac3367",
+         0.6084717114937717),
+        ("df38072b29ea24501a81fadc35d32666296a6ba35e6b98b58ec06579717452a5",
+         0.8182338243447485),
+        ("1115d57eb05ebdf4df3d705873003b5bc7b3cb22ca0844a407fd69106725483d",
+         0.7590955761738207),
+        ("ba43f4c9267c82bfca3f1222e948eb79b0ddf4e7ca3979a661280d5593ee504d",
+         0.5298474050055441),
+        ("dc2c2964631ff8561e24354ceaa2c50852eedc1ead1e1f95f7f6999137b88b8d",
+         0.8561493272201053),
+        ("0a28b64efd7a1cabab6c21d6842f66b74760ca55cc06071db0c71bd256d47fb6",
+         0.6023186600792698),
+        ("e2819fbe22224ae04f453ed6e908e2f66e42d761b045db7c5f8b213411e68f9f",
+         0.5764815881025938),
+    ),
+    "mixture": (
+        ("16c7c5078234b17f1302a411823eb28cefd4d440f39adcbe233470f04a233065",
+         0.7329662104091319),
+        ("9308cb2293e7f080dbdfa3f8729be2464cd7c9459d407ba3f1a9a73ff5446926",
+         0.16089873655372067),
+        ("508a9c32a9cf05a4e3547842c303018dbb42f5908c74a0de533ff09c0ed1caba",
+         0.16557153040946604),
+        ("0fff98e9226ea12f84a6b42604ad7b03b54dbdcedc464e083567de7b2e9ee6fc",
+         0.30355814181806795),
+        ("88bbe25483b6fe7c430155d1c61821706db9ddeb845c1554b4591497428e8ae3",
+         0.03816974659490757),
+        ("c3d668625ba38b14b340cc63e2dd2774a81bedd56e1fc1ee29f5ee91612657b7",
+         0.8224245882701062),
+        ("b3cb529259f48ae2f285c55b420866398537d4445c28e0b0e376ae6be1540b3d",
+         0.20299069720107554),
+    ),
+}
+
+# The killed-passage block sampler of the verify suites, 30 paths at x = 0.5
+# drawn as one block.
+KILLED_SHIFTED_PINS = {
+    "bd": "de7c3b1be958c18ba7942695d5552b2db0555b47c49d947dbf33f355926ab01e",
+    "dirac":
+        "6fa24bc2d828f05dc1eeb5867334a0b568a0574ef3f11495e1862e213a86a8e0",
+    "mixture":
+        "b4518df7e3b4931ad9794edcebdba15c6169ba22d32d452ed44d6fa720218324",
+}
+
+
+def pin_digest(result) -> str:
+    """sha256 of ``repr`` of an estimate, or of the fields of each path."""
+    if isinstance(result, float):
+        text = repr(result)
+    else:
+        paths = result if isinstance(result, list) else [result]
+        text = repr([(p.x0, p.initial_jump, p.segments) for p in paths])
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def pin_run(name: str) -> tuple:
+    g = RngStream(29).child("pins", name).generator()
+    return tuple((pin_digest(call(PIN_MODELS[name], g)), g.random())
+                 for _, call in PIN_CALLS)
+
+
+class TestPinnedDraws:
+    @pytest.mark.parametrize("name", sorted(PIN_MODELS))
+    def test_sampler_bytes_and_state(self, name):
+        got = pin_run(name)
+        for (label, _), pin, value in zip(PIN_CALLS, PINS[name], got):
+            assert value == pin, label
+
+    @pytest.mark.parametrize("name", sorted(PIN_MODELS))
+    def test_killed_shifted_block(self, name):
+        paths = _killed_shifted_sampler(0.5, PIN_MODELS[name], 30,
+                                        RngStream(29).child("block", name))
+        assert pin_digest(paths) == KILLED_SHIFTED_PINS[name]
+
+    @pytest.mark.parametrize("sizes", [(1, 1, 1), (0, 1, 1), (3, 7, 13),
+                                       (5, 2, 2), (0, 131, 131)])
+    def test_chunk_sizes_do_not_move_bytes(self, monkeypatch, sizes):
+        for attr, size in zip(("_SCALAR_DRAWS", "_FIRST_CHUNK", "_MAX_CHUNK"),
+                              sizes):
+            monkeypatch.setattr(simulate, attr, size)
+        for name in ("bd", "dirac"):
+            assert pin_run(name) == PINS[name]
+
+    @pytest.mark.parametrize("name", ["bd", "dirac"])
+    def test_many_paths_equal_calls_in_a_row(self, monkeypatch, name):
+        # chunks small enough that the 40 paths span many of them
+        monkeypatch.setattr(simulate, "_SCALAR_DRAWS", 0)
+        monkeypatch.setattr(simulate, "_FIRST_CHUNK", 3)
+        monkeypatch.setattr(simulate, "_MAX_CHUNK", 17)
+        model = PIN_MODELS[name]
+        stop = FirstPassage(-0.5)
+        one = RngStream(30).child(name).generator()
+        block = RngStream(30).child(name).generator()
+        paths = [sample_path_fv(model, 0.0, stop, one) for _ in range(40)]
+        assert simulate._sample_paths_fv(model, 0.0, stop, 40, block) == paths
+        assert block.bit_generator.state == one.bit_generator.state
+
+    def test_state_is_resynced_after_an_error(self, monkeypatch):
+        # the event cap raises mid-call: the generator still stands after
+        # exactly the draws the call made
+        monkeypatch.setattr(simulate, "DEFAULT_MAX_EVENTS", 100)
+        g = RngStream(31).generator()
+        with pytest.raises(RuntimeError):
+            sample_path_fv(MODEL, 0.0, Horizon(1e9), g)
+        scalar = RngStream(31).generator()
+        for _ in range(100):
+            scalar.exponential(1.0)
+            scalar.exponential(0.5)
+        assert g.bit_generator.state == scalar.bit_generator.state

@@ -5,11 +5,13 @@
 
 Run from the root of a git checkout: that checkout is the change side.  The
 parent ref is checked out into a temporary ``git worktree`` that is removed
-on exit.  For every workload and seed the script runs ``bench/run.py`` once
-per side per pair at the benchmark's ``run_seconds``, alternating which side
-goes first, and writes:
+on exit, or, with ``--parent-root DIR``, taken from an existing checkout
+whose HEAD is that ref (a ``git clone``, say).  For every workload and seed
+the script runs ``bench/run.py`` once per side per pair at the benchmark's
+``run_seconds``, alternating which side goes first, and writes:
 
-- the per-pair end-to-end metric values of each side;
+- the per-pair end-to-end metric values and median operation times of each
+  side;
 - per metric, each side's median and quartiles, the change's wins, losses
   and ties, and whether the change meets the gain rule (it wins at least
   nine tenths of the pairs and the medians differ, in its favour, by more
@@ -17,7 +19,8 @@ goes first, and writes:
 - each side's ``failed`` counts, its ``failed``/``attempted`` share per run,
   the pairs whose change-side share is higher (flagged on stderr too), and
   each side's ``output_sha256`` digests;
-- the interpreter, numpy and scipy versions and the core count.
+- the interpreter, numpy and scipy versions and the core count (scipy's is
+  read from its installed metadata, so the script runs without scipy).
 
 Each side runs the benchmark code of its own checkout.  Run a single pair
 per seed (``--pairs 1``) to compare digests and failures only.  When
@@ -29,6 +32,8 @@ runs of different sizes and trace settings.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import importlib.metadata
 import json
 import os
 import platform
@@ -99,6 +104,23 @@ def failure_shares(parent: list, change: list) -> dict:
     return shares
 
 
+def environment() -> dict:
+    """The interpreter, numpy and scipy versions and the core count.
+
+    scipy is a test dependency only, so its version is read from the
+    installed metadata without importing it, and is None when it is not
+    installed.
+    """
+    import numpy
+
+    try:
+        scipy_version = importlib.metadata.version("scipy")
+    except importlib.metadata.PackageNotFoundError:
+        scipy_version = None
+    return {"python": platform.python_version(), "numpy": numpy.__version__,
+            "scipy": scipy_version, "nproc": len(os.sched_getaffinity(0))}
+
+
 def _git(*args, cwd=ROOT) -> str:
     return subprocess.run(["git", *args], cwd=cwd, check=True,
                           capture_output=True, text=True).stdout.strip()
@@ -106,7 +128,8 @@ def _git(*args, cwd=ROOT) -> str:
 
 def run_bench(root: Path, workload: str, seed: int, seconds: float,
               trace: int) -> dict:
-    """One ``bench/run.py`` run in ``root``: its result line and digest."""
+    """One ``bench/run.py`` run in ``root``: its result line, its median
+    operation times and its digest."""
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds),
@@ -118,8 +141,14 @@ def run_bench(root: Path, workload: str, seed: int, seconds: float,
     result = json.loads(lines[-1])
     digest = next(line.split(" ", 1)[1] for line in lines
                   if line.startswith("output_sha256 "))
+    ops = {}
+    for line in lines:  # "op <name>: <seconds> s"
+        if line.startswith("op ") and line.endswith(" s"):
+            name, seconds = line[3:-2].rsplit(": ", 1)
+            ops[name] = float(seconds)
     return {
         "metrics": {k: v["value"] for k, v in result["metrics"].items()},
+        "ops": ops,
         "correct": result["correct"],
         "attempted": result["attempted"],
         "failed": result["failed"],
@@ -127,9 +156,28 @@ def run_bench(root: Path, workload: str, seed: int, seconds: float,
     }
 
 
+@contextlib.contextmanager
+def _parent_checkout(ref: str, root):
+    """The parent checkout to run: ``root`` when given, else a temporary
+    ``git worktree`` of ``ref``, removed on exit."""
+    if root is not None:
+        yield root
+        return
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+        path = Path(tmp) / "parent"
+        _git("worktree", "add", "--detach", str(path), ref)
+        try:
+            yield path
+        finally:
+            _git("worktree", "remove", "--force", str(path))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--parent", required=True, help="git ref of the parent")
+    parser.add_argument("--parent-root", type=Path,
+                        help="existing checkout of the parent to run, in "
+                             "place of a temporary worktree")
     parser.add_argument("--workloads", required=True,
                         help="comma-separated workload names")
     parser.add_argument("--seeds", required=True,
@@ -143,17 +191,12 @@ def main(argv=None) -> int:
     seconds = spec["run_seconds"]
     better = {m["name"]: m["better"]
               for m in spec["per_layer" if args.trace else "end_to_end"]}
-    import numpy
-    import scipy
-
     doc = {
         "parent": _git("rev-parse", args.parent),
         "change": _git("rev-parse", "HEAD"),
         "change_dirty": bool(_git("status", "--porcelain",
                                   "--untracked-files=no")),
-        "env": {"python": platform.python_version(),
-                "numpy": numpy.__version__, "scipy": scipy.__version__,
-                "nproc": len(os.sched_getaffinity(0))},
+        "env": environment(),
         "results": [],
     }
     out = Path(args.out)
@@ -164,62 +207,61 @@ def main(argv=None) -> int:
             parser.error(f"{out} holds runs of another parent, change or "
                          "environment")
         doc["results"] = old["results"]
-    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
-        parent_root = Path(tmp) / "parent"
-        _git("worktree", "add", "--detach", str(parent_root), args.parent)
-        try:
-            roots = {"parent": parent_root, "change": ROOT}
-            pair_count = 0
-            for workload in args.workloads.split(","):
-                for seed in (int(s) for s in args.seeds.split(",")):
-                    runs = {"parent": [], "change": []}
-                    first = []
-                    for i in range(args.pairs):
-                        # alternate over every pair of the invocation, so
-                        # that single-pair sweeps alternate too
-                        order = (("parent", "change") if pair_count % 2 == 0
-                                 else ("change", "parent"))
-                        pair_count += 1
-                        first.append(order[0])
-                        for side in order:
-                            r = run_bench(roots[side], workload, seed,
-                                          seconds, args.trace)
-                            runs[side].append(r)
-                            print(f"{workload} seed {seed} pair {i} {side}: "
-                                  f"{r['metrics']} failed {r['failed']}"
-                                  f"/{r['attempted']}",
-                                  file=sys.stderr, flush=True)
-                    shares = failure_shares(runs["parent"], runs["change"])
-                    if shares["change_higher"]:
-                        print(f"{workload} seed {seed}: the change fails a "
-                              "larger share in pairs "
-                              f"{shares['change_higher']}",
+    if args.parent_root is not None:
+        if _git("rev-parse", "HEAD", cwd=args.parent_root) != doc["parent"]:
+            parser.error(f"{args.parent_root} is not a checkout of "
+                         f"{args.parent}")
+    with _parent_checkout(args.parent, args.parent_root) as parent_root:
+        roots = {"parent": parent_root, "change": ROOT}
+        pair_count = 0
+        for workload in args.workloads.split(","):
+            for seed in (int(s) for s in args.seeds.split(",")):
+                runs = {"parent": [], "change": []}
+                first = []
+                for i in range(args.pairs):
+                    # alternate over every pair of the invocation, so
+                    # that single-pair sweeps alternate too
+                    order = (("parent", "change") if pair_count % 2 == 0
+                             else ("change", "parent"))
+                    pair_count += 1
+                    first.append(order[0])
+                    for side in order:
+                        r = run_bench(roots[side], workload, seed,
+                                      seconds, args.trace)
+                        runs[side].append(r)
+                        print(f"{workload} seed {seed} pair {i} {side}: "
+                              f"{r['metrics']} failed {r['failed']}"
+                              f"/{r['attempted']}",
                               file=sys.stderr, flush=True)
-                    doc["results"].append({
-                        "workload": workload,
-                        "seed": seed,
-                        "seconds": seconds,
-                        "trace": args.trace,
-                        "first": first,
-                        "runs": runs,
-                        "summary": {
-                            name: summarize(
-                                [r["metrics"][name] for r in runs["parent"]],
-                                [r["metrics"][name] for r in runs["change"]],
-                                better[name])
-                            for name in runs["change"][0]["metrics"]},
-                        "failed": {side: [r["failed"] for r in runs[side]]
-                                   for side in runs},
-                        "failed_share": shares,
-                        "output_sha256": {
-                            side: sorted({r["output_sha256"]
-                                          for r in runs[side]})
-                            for side in runs},
-                    })
-                    out.write_text(
-                        json.dumps(doc, indent=1, sort_keys=True) + "\n")
-        finally:
-            _git("worktree", "remove", "--force", str(parent_root))
+                shares = failure_shares(runs["parent"], runs["change"])
+                if shares["change_higher"]:
+                    print(f"{workload} seed {seed}: the change fails a "
+                          "larger share in pairs "
+                          f"{shares['change_higher']}",
+                          file=sys.stderr, flush=True)
+                doc["results"].append({
+                    "workload": workload,
+                    "seed": seed,
+                    "seconds": seconds,
+                    "trace": args.trace,
+                    "first": first,
+                    "runs": runs,
+                    "summary": {
+                        name: summarize(
+                            [r["metrics"][name] for r in runs["parent"]],
+                            [r["metrics"][name] for r in runs["change"]],
+                            better[name])
+                        for name in runs["change"][0]["metrics"]},
+                    "failed": {side: [r["failed"] for r in runs[side]]
+                               for side in runs},
+                    "failed_share": shares,
+                    "output_sha256": {
+                        side: sorted({r["output_sha256"]
+                                      for r in runs[side]})
+                        for side in runs},
+                })
+                out.write_text(
+                    json.dumps(doc, indent=1, sort_keys=True) + "\n")
     return 0
 
 

@@ -39,6 +39,9 @@ SEEDED_RUNS = (
      "--n", "20"),
     ("simulate", "--kind", "path", "--stop", "excursions:5", "--n", "20"),
     ("simulate", "--kind", "excursion", "--n", "200"),
+    ("simulate", "--model", "dirac", "--kind", "excursion", "--n", "200"),
+    ("simulate", "--model", "dirac", "--kind", "path", "--stop",
+     "horizon:10", "--n", "20"),
     ("simulate", "--kind", "excursion", "--n", "50", "--min-height", "1"),
     ("simulate", "--kind", "sup-excursion", "--n", "200"),
     ("simulate", "--kind", "tree", "--n", "20"),
