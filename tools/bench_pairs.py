@@ -144,8 +144,8 @@ def run_bench(root: Path, workload: str, seed: int, seconds: float,
     ops = {}
     for line in lines:  # "op <name>: <seconds> s"
         if line.startswith("op ") and line.endswith(" s"):
-            name, seconds = line[3:-2].rsplit(": ", 1)
-            ops[name] = float(seconds)
+            name, value = line[3:-2].rsplit(": ", 1)
+            ops[name] = float(value)
     return {
         "metrics": {k: v["value"] for k, v in result["metrics"].items()},
         "ops": ops,
