@@ -159,45 +159,35 @@ def _check_exact(model: LevyModel):
         raise ValueError("sampling needs drift d > 0")
 
 
-# The first _SCALAR_DRAWS standard exponentials of a sampler call are drawn
-# one at a time, so that a short call saves and restores no generator state.
-# The rest are drawn ahead in chunks whose size doubles from _FIRST_CHUNK up
-# to _MAX_CHUNK: a long call pays the per-chunk numpy call rarely.
-_SCALAR_DRAWS = 8
-_FIRST_CHUNK = 64
-_MAX_CHUNK = 2048
+# Standard exponentials drawn ahead per chunk.  Every sampler call of the
+# benchmark draws more than 60 values (a shipped verify call about 2000),
+# and scalar draws first with doubling chunks after won on no workload.
+_CHUNK = 256
 
 
 def _exponential_stream(rng: np.random.Generator) -> tuple:
     """``(draw, resync)``: ``draw()`` returns the next standard exponential
     of ``rng``, ``resync()`` leaves ``rng`` where scalar draws would have.
 
-    After the first :data:`_SCALAR_DRAWS` scalar draws the values come from
-    ``rng.standard_exponential(k)`` chunks, which draw the same values in
-    the same order as k scalar draws.  The generator state is saved before
-    each chunk; ``resync`` restores the last saved state and redraws the
-    count used from that chunk.
+    The values come from ``rng.standard_exponential(_CHUNK)`` chunks, which
+    draw the same values in the same order as that many scalar draws.  The
+    generator state is saved before each chunk; ``resync`` restores the
+    last saved state and redraws the count used from that chunk.
     """
-    last = [None, 0, iter(())]  # state before the last chunk, size, rest
+    size = _CHUNK
+    last = [None, iter(())]  # state before the last chunk, its unread rest
 
     def chunks():
-        yield map(rng.standard_exponential, itertools.repeat(None,
-                                                             _SCALAR_DRAWS))
-        size = _FIRST_CHUNK
         while True:
             last[0] = rng.bit_generator.state
-            last[1] = size
-            last[2] = rest = iter(rng.standard_exponential(size).tolist())
+            last[1] = rest = iter(rng.standard_exponential(size).tolist())
             yield rest
-            size = min(2 * size, _MAX_CHUNK)
 
     def resync():
-        state, size, rest = last
+        state, rest = last
         if state is not None:
             rng.bit_generator.state = state
-            used = size - operator.length_hint(rest)
-            if used:
-                rng.standard_exponential(used)
+            rng.standard_exponential(size - operator.length_hint(rest))
 
     return itertools.chain.from_iterable(chunks()).__next__, resync
 

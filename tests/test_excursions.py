@@ -25,7 +25,6 @@ from levyexc.excursions import (
     pre_sup,
     supremum_swap,
 )
-from levyexc import simulate
 from levyexc.models import ExponentialJumps, LevyModel
 from levyexc.paths import EventPath, concat
 from levyexc.simulate import (
@@ -232,12 +231,9 @@ class _ScriptedRng:
     def state(self, value):
         self.position = value["position"]
 
-    def standard_exponential(self, size=None):
-        i = self.position
-        self.position += 1 if size is None else size
-        if size is None:
-            return self.values[i]
-        chunk = self.values[i:i + size]
+    def standard_exponential(self, size):
+        chunk = self.values[self.position:self.position + size]
+        self.position += size
         return np.array(chunk + [math.nan] * (size - len(chunk)))
 
 
@@ -256,20 +252,14 @@ class TestDegenerateKernelDraws:
          ((0.25, -1.0, 0.0), (0.25, -1.0, 1.0), (4.5, -1.0, 0.0))),
     ])
     def test_path(self, script, raw):
-        p = sample_path_fv(MODEL, 0.0, Horizon(5.0), _ScriptedRng(script))
+        # the script ends inside the first chunk, and the stand-in is left
+        # after the draws the path used
+        rng = _ScriptedRng(script)
+        p = sample_path_fv(MODEL, 0.0, Horizon(5.0), rng)
         assert p == EventPath(0.0, 0.0, raw)
         assert len(p.segments) == 2
         assert_normal_form(p)
-
-    def test_path_from_chunks(self, monkeypatch):
-        # the same draws served in chunks, with the script's end in the
-        # first one, and the stand-in left after the draws the path used
-        monkeypatch.setattr(simulate, "_SCALAR_DRAWS", 0)
-        rng = _ScriptedRng([0.3, 2.0, 0.0, 1.0, 10.0])
-        p = sample_path_fv(MODEL, 0.0, Horizon(5.0), rng)
-        assert p == EventPath(0.0, 0.0, ((0.3, -1.0, 1.0), (0.0, -1.0, 0.5),
-                                         (4.7, -1.0, 0.0)))
-        assert rng.position == 5
+        assert rng.position == len(script)
 
     def test_excursion(self):
         # opening jump 1, then waits/jumps (0.25, 0.5), (0.0, 0.5), closing

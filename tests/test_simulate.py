@@ -519,21 +519,16 @@ class TestPinnedDraws:
                                         RngStream(29).child("block", name))
         assert pin_digest(paths) == KILLED_SHIFTED_PINS[name]
 
-    @pytest.mark.parametrize("sizes", [(1, 1, 1), (0, 1, 1), (3, 7, 13),
-                                       (5, 2, 2), (0, 131, 131)])
-    def test_chunk_sizes_do_not_move_bytes(self, monkeypatch, sizes):
-        for attr, size in zip(("_SCALAR_DRAWS", "_FIRST_CHUNK", "_MAX_CHUNK"),
-                              sizes):
-            monkeypatch.setattr(simulate, attr, size)
+    @pytest.mark.parametrize("size", [1, 2, 7, 131, 7919])
+    def test_chunk_sizes_do_not_move_bytes(self, monkeypatch, size):
+        monkeypatch.setattr(simulate, "_CHUNK", size)
         for name in ("bd", "dirac"):
             assert pin_run(name) == PINS[name]
 
     @pytest.mark.parametrize("name", ["bd", "dirac"])
     def test_many_paths_equal_calls_in_a_row(self, monkeypatch, name):
         # chunks small enough that the 40 paths span many of them
-        monkeypatch.setattr(simulate, "_SCALAR_DRAWS", 0)
-        monkeypatch.setattr(simulate, "_FIRST_CHUNK", 3)
-        monkeypatch.setattr(simulate, "_MAX_CHUNK", 17)
+        monkeypatch.setattr(simulate, "_CHUNK", 17)
         model = PIN_MODELS[name]
         stop = FirstPassage(-0.5)
         one = RngStream(30).child(name).generator()

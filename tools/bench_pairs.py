@@ -5,10 +5,9 @@
 
 Run from the root of a git checkout: that checkout is the change side.  The
 parent ref is checked out into a temporary ``git worktree`` that is removed
-on exit, or, with ``--parent-root DIR``, taken from an existing checkout
-whose HEAD is that ref (a ``git clone``, say).  For every workload and seed
-the script runs ``bench/run.py`` once per side per pair at the benchmark's
-``run_seconds``, alternating which side goes first, and writes:
+on exit.  For every workload and seed the script runs ``bench/run.py`` once
+per side per pair at the benchmark's ``run_seconds``, alternating which side
+goes first, and writes:
 
 - the per-pair end-to-end metric values and median operation times of each
   side;
@@ -32,7 +31,6 @@ runs of different sizes and trace settings.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import importlib.metadata
 import json
 import os
@@ -156,28 +154,9 @@ def run_bench(root: Path, workload: str, seed: int, seconds: float,
     }
 
 
-@contextlib.contextmanager
-def _parent_checkout(ref: str, root):
-    """The parent checkout to run: ``root`` when given, else a temporary
-    ``git worktree`` of ``ref``, removed on exit."""
-    if root is not None:
-        yield root
-        return
-    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
-        path = Path(tmp) / "parent"
-        _git("worktree", "add", "--detach", str(path), ref)
-        try:
-            yield path
-        finally:
-            _git("worktree", "remove", "--force", str(path))
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--parent", required=True, help="git ref of the parent")
-    parser.add_argument("--parent-root", type=Path,
-                        help="existing checkout of the parent to run, in "
-                             "place of a temporary worktree")
     parser.add_argument("--workloads", required=True,
                         help="comma-separated workload names")
     parser.add_argument("--seeds", required=True,
@@ -207,61 +186,62 @@ def main(argv=None) -> int:
             parser.error(f"{out} holds runs of another parent, change or "
                          "environment")
         doc["results"] = old["results"]
-    if args.parent_root is not None:
-        if _git("rev-parse", "HEAD", cwd=args.parent_root) != doc["parent"]:
-            parser.error(f"{args.parent_root} is not a checkout of "
-                         f"{args.parent}")
-    with _parent_checkout(args.parent, args.parent_root) as parent_root:
-        roots = {"parent": parent_root, "change": ROOT}
-        pair_count = 0
-        for workload in args.workloads.split(","):
-            for seed in (int(s) for s in args.seeds.split(",")):
-                runs = {"parent": [], "change": []}
-                first = []
-                for i in range(args.pairs):
-                    # alternate over every pair of the invocation, so
-                    # that single-pair sweeps alternate too
-                    order = (("parent", "change") if pair_count % 2 == 0
-                             else ("change", "parent"))
-                    pair_count += 1
-                    first.append(order[0])
-                    for side in order:
-                        r = run_bench(roots[side], workload, seed,
-                                      seconds, args.trace)
-                        runs[side].append(r)
-                        print(f"{workload} seed {seed} pair {i} {side}: "
-                              f"{r['metrics']} failed {r['failed']}"
-                              f"/{r['attempted']}",
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+        parent_root = Path(tmp) / "parent"
+        _git("worktree", "add", "--detach", str(parent_root), args.parent)
+        try:
+            roots = {"parent": parent_root, "change": ROOT}
+            pair_count = 0
+            for workload in args.workloads.split(","):
+                for seed in (int(s) for s in args.seeds.split(",")):
+                    runs = {"parent": [], "change": []}
+                    first = []
+                    for i in range(args.pairs):
+                        # alternate over every pair of the invocation, so
+                        # that single-pair sweeps alternate too
+                        order = (("parent", "change") if pair_count % 2 == 0
+                                 else ("change", "parent"))
+                        pair_count += 1
+                        first.append(order[0])
+                        for side in order:
+                            r = run_bench(roots[side], workload, seed,
+                                          seconds, args.trace)
+                            runs[side].append(r)
+                            print(f"{workload} seed {seed} pair {i} {side}: "
+                                  f"{r['metrics']} failed {r['failed']}"
+                                  f"/{r['attempted']}",
+                                  file=sys.stderr, flush=True)
+                    shares = failure_shares(runs["parent"], runs["change"])
+                    if shares["change_higher"]:
+                        print(f"{workload} seed {seed}: the change fails a "
+                              "larger share in pairs "
+                              f"{shares['change_higher']}",
                               file=sys.stderr, flush=True)
-                shares = failure_shares(runs["parent"], runs["change"])
-                if shares["change_higher"]:
-                    print(f"{workload} seed {seed}: the change fails a "
-                          "larger share in pairs "
-                          f"{shares['change_higher']}",
-                          file=sys.stderr, flush=True)
-                doc["results"].append({
-                    "workload": workload,
-                    "seed": seed,
-                    "seconds": seconds,
-                    "trace": args.trace,
-                    "first": first,
-                    "runs": runs,
-                    "summary": {
-                        name: summarize(
-                            [r["metrics"][name] for r in runs["parent"]],
-                            [r["metrics"][name] for r in runs["change"]],
-                            better[name])
-                        for name in runs["change"][0]["metrics"]},
-                    "failed": {side: [r["failed"] for r in runs[side]]
-                               for side in runs},
-                    "failed_share": shares,
-                    "output_sha256": {
-                        side: sorted({r["output_sha256"]
-                                      for r in runs[side]})
-                        for side in runs},
-                })
-                out.write_text(
-                    json.dumps(doc, indent=1, sort_keys=True) + "\n")
+                    doc["results"].append({
+                        "workload": workload,
+                        "seed": seed,
+                        "seconds": seconds,
+                        "trace": args.trace,
+                        "first": first,
+                        "runs": runs,
+                        "summary": {
+                            name: summarize(
+                                [r["metrics"][name] for r in runs["parent"]],
+                                [r["metrics"][name] for r in runs["change"]],
+                                better[name])
+                            for name in runs["change"][0]["metrics"]},
+                        "failed": {side: [r["failed"] for r in runs[side]]
+                                   for side in runs},
+                        "failed_share": shares,
+                        "output_sha256": {
+                            side: sorted({r["output_sha256"]
+                                          for r in runs[side]})
+                            for side in runs},
+                    })
+                    out.write_text(
+                        json.dumps(doc, indent=1, sort_keys=True) + "\n")
+        finally:
+            _git("worktree", "remove", "--force", str(parent_root))
     return 0
 
 
