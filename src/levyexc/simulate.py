@@ -159,9 +159,10 @@ def _check_exact(model: LevyModel):
         raise ValueError("sampling needs drift d > 0")
 
 
-# Standard exponentials drawn ahead per chunk.  Every sampler call of the
-# benchmark draws more than 60 values (a shipped verify call about 2000),
-# and scalar draws first with doubling chunks after won on no workload.
+# Standard exponentials drawn ahead per chunk.  Sampler calls draw from
+# about 40 values (one exported path) to hundreds of thousands (an exit
+# Monte Carlo run); one size serves both, since the state save and resync
+# of a chunk cost a few microseconds.
 _CHUNK = 256
 
 
